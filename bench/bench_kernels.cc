@@ -2,7 +2,7 @@
 // the repo shipped with) versus the cache-blocked kernels of
 // nn/kernels.h, single-threaded and threaded, over the matrix shapes
 // the system actually runs: the LSTM gate products and DNN head of the
-// policy (src/nn/module.cc), the batched PPO recompute, the AutoRec
+// policy (src/nn/module.cc), the PPO log-prob recompute, the AutoRec
 // encoder, plus the canonical 256x256x256 acceptance shape.
 //
 // Timing protocol: min over POISONREC_REPEATS repetitions (default 5)
@@ -86,19 +86,15 @@ int Main() {
 
   const std::size_t dim = config.embedding_dim;
   const std::vector<Shape> shapes = {
-      // LSTM cell gate products as the batched engine issues them: all N
-      // attacker rows of one episode (SampleEpisode / RecomputeLogProbs)
-      // and the full M·N-row stack of SampleEpisodesBatched. The old
-      // m=1 per-row shape is gone from the engine — every LSTM GEMM now
-      // carries at least the N attacker rows.
+      // LSTM cell gate product as sampling issues it: the N attacker
+      // rows of one episode (SampleEpisode, one episode per task).
       {"lstm_batch", config.num_attackers, dim, 4 * dim},
-      {"lstm_batch_step",
-       config.samples_per_step * config.num_attackers, dim, 4 * dim},
       // DNN head: hidden → item logits over the candidate set.
       {"dnn_head", config.num_attackers, dim, 2 * config.candidate_originals},
-      // PPO recompute: all M·T decisions of a step in one product.
-      {"ppo_recompute", config.samples_per_step * config.trajectory_length,
-       dim, 4 * dim},
+      // PPO recompute: the LSTM gate product over all M·N trajectories
+      // of a B = M batch (RecomputeLogProbs).
+      {"ppo_recompute", config.samples_per_step * config.num_attackers, dim,
+       4 * dim},
       // AutoRec-style encoder on a mid-size catalog.
       {"autorec_encode", 500, dim, 500},
       // Canonical acceptance shape.

@@ -1,74 +1,43 @@
-// End-to-end TrainStep comparison of the batched attacker engine against
-// its two ancestors, swept over attacker counts N. For each N the bench
-// runs the full Algorithm 1 step (episode rollouts -> black-box reward
-// queries -> K PPO epochs) as:
+// Thread-scaling sweep of the attacker's TrainStep, swept over attacker
+// counts N. For each N the bench runs the full Algorithm 1 step (episode
+// rollouts -> black-box reward queries -> K PPO epochs) at 1, 2 and
+// `nproc` threads; sampling, reward queries and GEMM kernels all follow
+// the one thread knob, as `poisonrec campaign --num-threads` does.
 //
-//   per_row   — the historical baseline: every attacker row advanced by
-//               its own 1×d matmuls (~6N tiny tape nodes per timestep),
-//               fresh tapes every epoch. Speedup denominator and
-//               identity oracle; runs a capped number of steps (it is
-//               the slow one) and is compared per-step.
-//   reference — per-episode batched rows, fresh tapes, no arena (the
-//               pre-batched-engine seed engine) at T threads.
-//   batched   — stacked rollouts, recorded-graph reuse, arena, at
-//               1, 2, and T threads.
+// Every thread count must produce the identical step sequence: per-step
+// min/mean/max reward and PPO loss must equal the 1-thread run's
+// bitwise (per-episode RNG streams, row-partitioned kernels, frozen
+// backward schedules). The loss is included because the reward alone
+// saturates at N=2000 (every episode reaches the RecNum maximum). The
+// bench fails hard on the first mismatch. Scaling columns divide the
+// 1-thread phase time by each run's.
 //
-// Every configuration must produce the identical reward sequence over
-// the steps it runs: the engines are bit-identical by construction
-// (per-episode RNG streams, row-partition-deterministic kernels, frozen
-// backward schedules, StackRows' ordered backward), and the bench fails
-// hard on the first mismatch. The headline metric is the per-step
-// update+sample speedup over the per_row baseline — the phases the
-// engine rework touches (query time is the black-box platform's, not
-// the attacker's).
-//
-//   POISONREC_THREADS        threaded runs' thread count (default 4)
+//   POISONREC_THREADS        largest thread count (default: nproc)
 //   POISONREC_STEPS          timed steps per run (default 25; CI uses 2)
-//   POISONREC_BASELINE_STEPS per_row baseline step cap (default 4)
 //   POISONREC_ATTACKER_SWEEP comma list of N values (default 20,200,2000)
 #include <algorithm>
-#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "bench/common.h"
 #include "nn/kernels.h"
-#include "util/timer.h"
 
 namespace poisonrec::bench {
 namespace {
 
-enum class Engine { kPerRow, kReference, kBatched };
-
-const char* EngineName(Engine engine) {
-  switch (engine) {
-    case Engine::kPerRow:
-      return "per_row";
-    case Engine::kReference:
-      return "reference";
-    case Engine::kBatched:
-      return "batched";
-  }
-  return "?";
-}
-
 struct RunResult {
-  std::size_t steps = 0;
   double total_seconds = 0.0;
   double sample_seconds = 0.0;
   double query_seconds = 0.0;
   double update_seconds = 0.0;
-  std::vector<double> mean_rewards;
+  std::vector<core::TrainStepStats> stats;
 };
 
 RunResult RunCampaign(const BenchConfig& config, std::size_t num_attackers,
-                      std::size_t num_threads, Engine engine,
-                      std::size_t steps) {
-  // Kernel threading and sampling/eval threading follow the same knob,
-  // mirroring what `poisonrec campaign --num-threads` does.
+                      std::size_t num_threads, std::size_t steps) {
   nn::SetNumThreads(num_threads);
   BenchConfig sized = config;
   sized.num_attackers = num_attackers;
@@ -78,23 +47,16 @@ RunResult RunCampaign(const BenchConfig& config, std::size_t num_attackers,
   pr.num_threads = num_threads;
   pr.parallel_sampling = true;
   pr.parallel_rewards = num_threads > 1;
-  if (engine != Engine::kBatched) {
-    pr.engine.batched_sampling = false;
-    pr.engine.reuse_update_graph = false;
-    pr.engine.tensor_arena = false;
-    pr.engine.per_row_recurrence = engine == Engine::kPerRow;
-  }
   core::PoisonRecAttacker attacker(env.get(), pr);
 
   RunResult result;
-  result.steps = steps;
   for (std::size_t s = 0; s < steps; ++s) {
     const core::TrainStepStats stats = attacker.TrainStep();
     result.total_seconds += stats.seconds;
     result.sample_seconds += stats.sample_seconds;
     result.query_seconds += stats.query_seconds;
     result.update_seconds += stats.update_seconds;
-    result.mean_rewards.push_back(stats.mean_reward);
+    result.stats.push_back(stats);
   }
   nn::SetNumThreads(0);
   return result;
@@ -133,98 +95,72 @@ std::string Fmt(double v) {
   return buf;
 }
 
-// Training is deterministic per step index, so the first
-// min(a.steps, b.steps) rewards of any two runs are comparable even
-// when the slower run was cut short.
-std::size_t CountMismatches(const RunResult& a, const RunResult& b) {
-  const std::size_t steps =
-      std::min(a.mean_rewards.size(), b.mean_rewards.size());
+/// Steps whose rewards or loss differ from the reference run's.
+std::size_t CountMismatches(const RunResult& reference, const RunResult& r) {
   std::size_t mismatches = 0;
-  for (std::size_t s = 0; s < steps; ++s) {
-    if (a.mean_rewards[s] != b.mean_rewards[s]) ++mismatches;
+  for (std::size_t s = 0; s < r.stats.size(); ++s) {
+    const core::TrainStepStats& a = reference.stats[s];
+    const core::TrainStepStats& b = r.stats[s];
+    if (a.min_reward != b.min_reward || a.mean_reward != b.mean_reward ||
+        a.max_reward != b.max_reward || a.loss != b.loss) {
+      ++mismatches;
+    }
   }
   return mismatches;
 }
 
 int Main() {
   const BenchConfig config = LoadBenchConfig();
-  const std::size_t threads = EnvSize("POISONREC_THREADS", 4);
+  const std::size_t max_threads = EnvSize(
+      "POISONREC_THREADS",
+      std::max<std::size_t>(1, std::thread::hardware_concurrency()));
   const std::size_t steps = config.training_steps;
-  const std::size_t baseline_steps =
-      std::min(steps, EnvSize("POISONREC_BASELINE_STEPS", 4));
   const std::vector<std::size_t> sweep =
       EnvSizeList("POISONREC_ATTACKER_SWEEP", {20, 200, 2000});
+  std::vector<std::size_t> thread_counts = {1, 2, max_threads};
+  std::sort(thread_counts.begin(), thread_counts.end());
+  thread_counts.erase(
+      std::unique(thread_counts.begin(), thread_counts.end()),
+      thread_counts.end());
 
-  PrintTableHeader({"attackers", "engine", "threads", "steps", "total_s",
-                    "sample_s", "query_s", "update_s", "upd+smp_speedup",
+  PrintTableHeader({"attackers", "threads", "steps", "total_s", "sample_s",
+                    "query_s", "update_s", "smp_scale", "upd_scale",
                     "mismatches"});
-  std::vector<std::vector<std::string>> rows;
-  rows.push_back({"attackers", "engine", "threads", "steps", "total_s",
-                  "sample_s", "query_s", "update_s", "update_sample_speedup",
-                  "reward_mismatches"});
+  std::vector<std::vector<std::string>> rows = {
+      {"attackers", "threads", "steps", "total_s", "sample_s", "query_s",
+       "update_s", "sample_scaling", "update_scaling", "mismatches"}};
 
   std::size_t total_mismatches = 0;
   for (const std::size_t n : sweep) {
-    const RunResult baseline =
-        RunCampaign(config, n, threads, Engine::kPerRow, baseline_steps);
-    const RunResult reference =
-        RunCampaign(config, n, threads, Engine::kReference, steps);
-    struct BatchedRun {
-      std::size_t threads;
-      RunResult result;
-    };
-    std::vector<BatchedRun> batched;
-    for (const std::size_t t : std::vector<std::size_t>{1, 2, threads}) {
-      batched.push_back(
-          {t, RunCampaign(config, n, t, Engine::kBatched, steps)});
-    }
-
-    const double baseline_per_step =
-        (baseline.sample_seconds + baseline.update_seconds) /
-        static_cast<double>(baseline.steps);
-    const auto emit = [&](Engine engine, std::size_t t, const RunResult& r,
-                          std::size_t mismatches) {
-      // The speedup the engine rework is accountable for: per-step
-      // sample+update against the per-row baseline at the bench's
-      // threaded setting.
-      const double per_step = (r.sample_seconds + r.update_seconds) /
-                              static_cast<double>(r.steps);
-      const double speedup = per_step > 0.0 ? baseline_per_step / per_step
-                                            : 0.0;
-      PrintTableRow({std::to_string(n), EngineName(engine),
-                     std::to_string(t), std::to_string(r.steps),
-                     Fmt(r.total_seconds), Fmt(r.sample_seconds),
-                     Fmt(r.query_seconds), Fmt(r.update_seconds),
-                     Fmt(speedup), std::to_string(mismatches)});
-      rows.push_back({std::to_string(n), EngineName(engine),
-                      std::to_string(t), std::to_string(r.steps),
-                      Fmt(r.total_seconds), Fmt(r.sample_seconds),
-                      Fmt(r.query_seconds), Fmt(r.update_seconds),
-                      Fmt(speedup), std::to_string(mismatches)});
-    };
-    emit(Engine::kPerRow, threads, baseline, 0);
-    {
-      const std::size_t mismatches = CountMismatches(baseline, reference);
+    RunResult reference;
+    for (const std::size_t t : thread_counts) {
+      const RunResult r = RunCampaign(config, n, t, steps);
+      if (t == thread_counts.front()) reference = r;
+      const std::size_t mismatches = CountMismatches(reference, r);
       total_mismatches += mismatches;
-      emit(Engine::kReference, threads, reference, mismatches);
-    }
-    for (const BatchedRun& run : batched) {
-      const std::size_t mismatches = CountMismatches(baseline, run.result) +
-                                     CountMismatches(reference, run.result);
-      total_mismatches += mismatches;
-      emit(Engine::kBatched, run.threads, run.result, mismatches);
+      const auto ratio = [](double base, double v) {
+        return v > 0.0 ? base / v : 0.0;
+      };
+      rows.push_back({std::to_string(n), std::to_string(t),
+                      std::to_string(steps), Fmt(r.total_seconds),
+                      Fmt(r.sample_seconds), Fmt(r.query_seconds),
+                      Fmt(r.update_seconds),
+                      Fmt(ratio(reference.sample_seconds, r.sample_seconds)),
+                      Fmt(ratio(reference.update_seconds, r.update_seconds)),
+                      std::to_string(mismatches)});
+      PrintTableRow(rows.back());
     }
   }
 
   if (total_mismatches > 0) {
-    std::printf("FAIL: %zu reward mismatches between engines/thread counts\n",
+    std::printf("FAIL: %zu step mismatches across thread counts\n",
                 total_mismatches);
   }
   WriteCsvOutput(config, "train_step_timing.csv", rows);
   WriteJsonOutput(config, "train_step_timing.json", rows);
 
-  // An engine- or thread-count-dependent reward sequence is a
-  // correctness bug, not a perf regression — fail loudly.
+  // A thread-count-dependent step is a correctness bug, not a perf
+  // regression — fail loudly.
   return total_mismatches == 0 ? 0 : 1;
 }
 

@@ -255,100 +255,11 @@ std::vector<std::vector<SampledTrajectory>> Policy::SampleEpisodesBatched(
     std::vector<Rng>* rngs) const {
   POISONREC_CHECK(rngs != nullptr);
   POISONREC_CHECK_EQ(rngs->size(), episodes);
-  nn::NoGradScope no_grad;
-  const std::size_t n = num_attackers_;
-  const std::size_t rows = episodes * n;
   std::vector<std::vector<SampledTrajectory>> out(episodes);
-  std::vector<std::size_t> attacker_ids(rows);
   for (std::size_t e = 0; e < episodes; ++e) {
-    out[e].resize(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out[e][i].attacker_index = i;
-      out[e][i].steps.resize(trajectory_length);
-      attacker_ids[e * n + i] = i;
-    }
-  }
-
-  nn::LstmCell::State state = lstm_.InitialState(rows);
-  state = lstm_.Step(user_emb_.Forward(attacker_ids), state);
-  for (std::size_t t = 0; t < trajectory_length; ++t) {
-    nn::Tensor dht = dnn_.Forward(state.h);  // (episodes·n x dim)
-    const std::vector<float>& dht_data = dht.data();
-    std::vector<std::size_t> chosen(rows);
-    // Per-episode RNG draw order matches SampleEpisode exactly: for a
-    // fixed episode e, rows are visited 0..n-1 at each t.
-    for (std::size_t e = 0; e < episodes; ++e) {
-      Rng* rng = &(*rngs)[e];
-      for (std::size_t i = 0; i < n; ++i) {
-        const std::size_t row = e * n + i;
-        SampledStep* step = &out[e][i].steps[t];
-        switch (config_.action_space) {
-          case ActionSpaceKind::kPlain:
-            SampleStepPlain(dht_data, row, rng, step);
-            break;
-          case ActionSpaceKind::kBPlain:
-            SampleStepBPlain(dht_data, row, rng, step);
-            break;
-          case ActionSpaceKind::kBcbtPopular:
-          case ActionSpaceKind::kBcbtRandom:
-          case ActionSpaceKind::kCbtUnbiased:
-            SampleStepTree(dht_data, row, rng, step);
-            break;
-        }
-        chosen[row] = step->item;
-      }
-    }
-    if (t + 1 < trajectory_length) {
-      state = lstm_.Step(item_emb_.Forward(chosen), state);
-    }
+    out[e] = SampleEpisode(trajectory_length, &(*rngs)[e]);
   }
   return out;
-}
-
-std::vector<SampledTrajectory> Policy::SampleEpisodePerRow(
-    std::size_t trajectory_length, Rng* rng) const {
-  nn::NoGradScope no_grad;
-  const std::size_t n = num_attackers_;
-  std::vector<SampledTrajectory> trajs(n);
-  std::vector<nn::LstmCell::State> states;
-  states.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    trajs[i].attacker_index = i;
-    trajs[i].steps.resize(trajectory_length);
-    nn::LstmCell::State state = lstm_.InitialState(1);
-    states.push_back(lstm_.Step(user_emb_.Forward({i}), state));
-  }
-  for (std::size_t t = 0; t < trajectory_length; ++t) {
-    // Timestep-major like SampleEpisode so the shared RNG stream is
-    // consumed in the same order: at each t, rows 0..n-1 decide.
-    std::vector<std::size_t> chosen(n);
-    for (std::size_t row = 0; row < n; ++row) {
-      nn::Tensor dht = dnn_.Forward(states[row].h);  // (1 x dim)
-      const std::vector<float>& dht_data = dht.data();
-      SampledStep* step = &trajs[row].steps[t];
-      switch (config_.action_space) {
-        case ActionSpaceKind::kPlain:
-          SampleStepPlain(dht_data, 0, rng, step);
-          break;
-        case ActionSpaceKind::kBPlain:
-          SampleStepBPlain(dht_data, 0, rng, step);
-          break;
-        case ActionSpaceKind::kBcbtPopular:
-        case ActionSpaceKind::kBcbtRandom:
-        case ActionSpaceKind::kCbtUnbiased:
-          SampleStepTree(dht_data, 0, rng, step);
-          break;
-      }
-      chosen[row] = step->item;
-    }
-    if (t + 1 < trajectory_length) {
-      for (std::size_t row = 0; row < n; ++row) {
-        states[row] =
-            lstm_.Step(item_emb_.Forward({chosen[row]}), states[row]);
-      }
-    }
-  }
-  return trajs;
 }
 
 // ---------------------------------------------------------------------------
@@ -376,36 +287,8 @@ std::vector<nn::Tensor> Policy::HiddenStates(
   return hs;
 }
 
-std::vector<nn::Tensor> Policy::HiddenStatesPerRow(
-    const std::vector<std::size_t>& attacker_ids,
-    const std::vector<std::vector<data::ItemId>>& item_prefixes,
-    std::size_t trajectory_length) const {
-  const std::size_t rows = attacker_ids.size();
-  std::vector<nn::LstmCell::State> states;
-  states.reserve(rows);
-  for (std::size_t r = 0; r < rows; ++r) {
-    nn::LstmCell::State state = lstm_.InitialState(1);
-    states.push_back(lstm_.Step(user_emb_.Forward({attacker_ids[r]}), state));
-  }
-  std::vector<nn::Tensor> hs;
-  hs.reserve(trajectory_length);
-  std::vector<nn::Tensor> row_h(rows);
-  for (std::size_t t = 0; t < trajectory_length; ++t) {
-    if (t > 0) {
-      for (std::size_t r = 0; r < rows; ++r) {
-        states[r] = lstm_.Step(
-            item_emb_.Forward({item_prefixes[r][t - 1]}), states[r]);
-      }
-    }
-    for (std::size_t r = 0; r < rows; ++r) row_h[r] = states[r].h;
-    hs.push_back(nn::StackRows(row_h));
-  }
-  return hs;
-}
-
 std::vector<DecisionBatch> Policy::RecomputeLogProbs(
-    const std::vector<const SampledTrajectory*>& trajectories,
-    bool per_row_recurrence) const {
+    const std::vector<const SampledTrajectory*>& trajectories) const {
   POISONREC_CHECK(!trajectories.empty());
   const std::size_t rows = trajectories.size();
   const std::size_t T = trajectories[0]->steps.size();
@@ -421,9 +304,7 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
     }
   }
 
-  std::vector<nn::Tensor> hs =
-      per_row_recurrence ? HiddenStatesPerRow(attacker_ids, sequences, T)
-                         : HiddenStates(attacker_ids, sequences, T);
+  std::vector<nn::Tensor> hs = HiddenStates(attacker_ids, sequences, T);
   std::vector<DecisionBatch> batches;
 
   nn::Tensor feats;  // [item embeddings; node embeddings] for tree gathers

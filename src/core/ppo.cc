@@ -90,17 +90,16 @@ bool ReadFloats(std::istream& in, std::vector<float>* v) {
 
 }  // namespace
 
-// One TrainStep's recorded update graph (config().engine
-// .reuse_update_graph). The K epochs of a step recompute the exact same
-// ops over the exact same trajectories: between epochs only the
-// parameters change (advanced by Adam) plus the host-recomputed clip
-// masks that depend on them. So epoch 0 records the two differentiable
-// forwards on tapes — the log-prob recompute and the surrogate loss,
-// with the host-side mask pass sitting between them — and captures the
-// backward schedule; epochs 1..K-1 replay all three instead of
-// re-flattening, re-taping, and re-walking the graph. Valid only while
-// the batch is the full episode set (a resampled batch changes the
-// graph), which TrainStep checks before constructing one.
+// One TrainStep's recorded update graph. The K epochs of a step
+// recompute the exact same ops over the exact same trajectories: between
+// epochs only the parameters change (advanced by Adam) plus the
+// host-recomputed clip masks that depend on them. So epoch 0 records the
+// two differentiable forwards on tapes — the log-prob recompute and the
+// surrogate loss, with the host-side mask pass sitting between them —
+// and captures the backward schedule; epochs 1..K-1 replay all three
+// instead of re-flattening, re-taping, and re-walking the graph. Valid
+// only while the batch is the full episode set (a resampled batch
+// changes the graph), which TrainStep checks before constructing one.
 struct PpoUpdateGraph {
   bool built = false;
   // Flattened batch, fixed for the step.
@@ -431,15 +430,11 @@ nn::Tensor PoisonRecAttacker::PpoLoss(
       }
     }
 
-    if (graph != nullptr) {
-      // Record the recompute forward so later epochs replay it against
-      // the parameters Adam advanced, instead of re-taping it.
-      nn::GraphTape::RecordScope record(&graph->recompute_tape);
-      local_decisions = policy_->RecomputeLogProbs(local_trajs);
-    } else {
-      local_decisions = policy_->RecomputeLogProbs(
-          local_trajs, config_.engine.per_row_recurrence);
-    }
+    // With a graph, record the recompute forward so later epochs replay
+    // it against the parameters Adam advanced, instead of re-taping it.
+    std::optional<nn::GraphTape::RecordScope> record;
+    if (graph != nullptr) record.emplace(&graph->recompute_tape);
+    local_decisions = policy_->RecomputeLogProbs(local_trajs);
   } else {
     // Same trajectories, new parameters: recompute every decision's
     // log-prob by replaying the recorded nodes in creation order —
@@ -589,49 +584,16 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   // the policy) and the sampled trajectories are bit-identical for any
   // thread count and across checkpoint/resume.
   obs::TraceSpan sample_span("ppo/sample");
-  // Node-recycling arena for the step's tensor churn (sampling
-  // activations, recompute/loss graphs). Activated before any tensor of
-  // the step is created and reset when the step returns — declared here
-  // so every local graph handle below destructs first and the reset can
-  // recycle the whole step's nodes. The free list is a member, so step
-  // s+1 reuses step s's buffers.
-  std::optional<nn::TensorArena::Scope> arena_scope;
-  if (config_.engine.tensor_arena) arena_scope.emplace(&step_arena_);
   std::vector<Episode> episodes(config_.samples_per_step);
   const std::size_t sample_threads =
       config_.parallel_sampling ? config_.num_threads : 1;
   const std::uint64_t step_index = stats.step;
-  if (config_.engine.batched_sampling) {
-    // One stacked (M·N x dim) recurrence for all M episodes: each
-    // episode still consumes its own derived Rng stream in SampleEpisode
-    // order, so the trajectories are bit-identical to the per-episode
-    // path below (and to any earlier checkpoint's future).
-    std::vector<Rng> rngs;
-    rngs.reserve(episodes.size());
-    for (std::size_t m = 0; m < episodes.size(); ++m) {
-      rngs.emplace_back(DeriveStreamSeed(config_.seed, step_index, m));
-    }
-    std::vector<std::vector<SampledTrajectory>> sampled =
-        policy_->SampleEpisodesBatched(episodes.size(),
-                                       env_->trajectory_length(), &rngs);
-    for (std::size_t m = 0; m < episodes.size(); ++m) {
-      episodes[m].trajectories = std::move(sampled[m]);
-    }
-  } else {
-    // The per-row baseline advances each attacker with its own 1×d
-    // matmuls (the historical engine); same Rng streams, same bits.
-    const bool per_row = config_.engine.per_row_recurrence;
-    ParallelFor(episodes.size(), sample_threads,
-                [this, &episodes, step_index, per_row](std::size_t m) {
-                  Rng episode_rng(
-                      DeriveStreamSeed(config_.seed, step_index, m));
-                  episodes[m].trajectories =
-                      per_row ? policy_->SampleEpisodePerRow(
-                                    env_->trajectory_length(), &episode_rng)
-                              : policy_->SampleEpisode(
-                                    env_->trajectory_length(), &episode_rng);
-                });
-  }
+  ParallelFor(episodes.size(), sample_threads,
+              [this, &episodes, step_index](std::size_t m) {
+                Rng episode_rng(DeriveStreamSeed(config_.seed, step_index, m));
+                episodes[m].trajectories = policy_->SampleEpisode(
+                    env_->trajectory_length(), &episode_rng);
+              });
   stats.sample_seconds = sample_span.Stop();
   if (heartbeat_) heartbeat_();
 
@@ -773,14 +735,11 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
   // (B >= M — the paper's configuration): the K epochs then share one
   // recorded graph, built on epoch 0 and replayed afterwards. With a
   // resampled batch each epoch sees a different graph, so each builds
-  // fresh. Declared after arena_scope: the graph (and the tapes' node
-  // handles) must destruct before the arena reset sweeps the step.
-  const bool reuse_graph = config_.engine.reuse_update_graph &&
-                           !config_.engine.per_row_recurrence &&
-                           config_.batch_size >= episodes.size() &&
-                           config_.update_epochs > 1;
+  // fresh, and a single epoch has nothing to replay.
   std::optional<PpoUpdateGraph> update_graph;
-  if (reuse_graph) update_graph.emplace();
+  if (config_.batch_size >= episodes.size() && config_.update_epochs > 1) {
+    update_graph.emplace();
+  }
   for (std::size_t epoch = 0; epoch < config_.update_epochs; ++epoch) {
     std::vector<const Episode*> batch;
     if (config_.batch_size >= episodes.size()) {

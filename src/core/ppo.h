@@ -19,7 +19,6 @@
 #include "env/defended.h"
 #include "env/environment.h"
 #include "env/fault.h"
-#include "nn/arena.h"
 #include "nn/optimizer.h"
 #include "obs/event_log.h"
 #include "util/cancel.h"
@@ -28,41 +27,6 @@
 #include "util/status.h"
 
 namespace poisonrec::core {
-
-/// Execution-engine knobs (docs/performance.md). Every fast path here is
-/// bit-identical to the reference path it replaces — same trajectories,
-/// same rewards, same post-update parameters, same checkpoint bytes — so
-/// they default on and exist as flags only so tests and benches can pin
-/// the reference engine for identity/regression comparisons.
-struct EngineConfig {
-  /// Roll out all M episodes of a step as one stacked (M·N x dim)
-  /// recurrence (Policy::SampleEpisodesBatched): one LSTM/DNN forward
-  /// per timestep instead of M·N tiny ones. Per-episode RNG streams are
-  /// preserved, so sampling stays bit-identical and parallel_sampling
-  /// becomes irrelevant while this is on.
-  bool batched_sampling = true;
-  /// Record the PPO update graph (recompute + surrogate) on epoch 0 and
-  /// replay it for epochs 1..K-1 instead of re-taping: forward closures
-  /// recompute the same nodes in creation order, and the captured
-  /// backward schedule re-runs Tensor::Backward()'s exact closure order,
-  /// so gradients accumulate in the same float order every epoch.
-  /// Applies only when the batch covers all M episodes (batch_size >=
-  /// samples_per_step) — a resampled batch changes the graph.
-  bool reuse_update_graph = true;
-  /// Recycle autograd nodes through a per-step TensorArena: steady-state
-  /// steps reuse the previous step's node/activation buffers instead of
-  /// hitting the allocator (nn/arena.h).
-  bool tensor_arena = true;
-  /// Historical per-row baseline: advance every attacker row with its own
-  /// 1×d matmuls in sampling (Policy::SampleEpisodePerRow) and in the PPO
-  /// recompute (Policy::HiddenStatesPerRow), ~6N tiny tape nodes per
-  /// timestep instead of 6. Bit-identical to both the reference and the
-  /// batched engines (trajectories, rewards, post-update parameters) —
-  /// kept purely as the identity oracle and speedup denominator for
-  /// bench_train_step_timing; never enable it for real campaigns. Forces
-  /// the fresh-tape update path (graph reuse is skipped).
-  bool per_row_recurrence = false;
-};
 
 struct PoisonRecConfig {
   /// M: episodes sampled per training step (paper: 32).
@@ -102,8 +66,6 @@ struct PoisonRecConfig {
   /// the policy keeps its N slots and the pool remaps banned slots onto
   /// fresh reserve accounts (core/account_pool.h).
   AccountPoolConfig pool;
-  /// Batched-engine fast paths (all bit-identical to the reference).
-  EngineConfig engine;
   PolicyConfig policy;
   std::uint64_t seed = 99;
 };
@@ -344,7 +306,7 @@ class PoisonRecAttacker {
   /// (recompute + surrogate) into it and later calls replay it against
   /// current parameters — numerically identical to rebuilding from
   /// scratch, since replay recomputes the same nodes in the same order.
-  /// Pass nullptr for the fresh-tape reference path.
+  /// Pass nullptr to build a fresh tape (resampled batches, K = 1).
   nn::Tensor PpoLoss(const std::vector<const Episode*>& batch,
                      double* loss_value, PpoDiagnostics* diagnostics,
                      PpoUpdateGraph* graph);
@@ -392,10 +354,6 @@ class PoisonRecAttacker {
   PoisonRecConfig config_;
   std::unique_ptr<Policy> policy_;
   std::unique_ptr<nn::Adam> optimizer_;
-  /// Node-recycling arena for TrainStep (config_.engine.tensor_arena):
-  /// activated for the span of each step, reset at its end, free list
-  /// persisting across steps so step s+1 reuses step s's buffers.
-  nn::TensorArena step_arena_;
   Rng rng_;
   Episode best_episode_;
   std::size_t steps_taken_ = 0;

@@ -1,13 +1,10 @@
 #include "nn/graph.h"
 
-#include <unordered_set>
 #include <utility>
 
 #include "util/logging.h"
 
 namespace poisonrec::nn {
-
-using internal::TensorImpl;
 
 namespace {
 
@@ -48,32 +45,7 @@ void RecordedBackward::Capture(const Tensor& loss) {
   POISONREC_CHECK(loss.is_scalar());
   POISONREC_CHECK(loss.requires_grad());
   root_ = loss.impl();
-  order_.clear();
-
-  // Byte-for-byte the traversal in Tensor::Backward(): iterative
-  // post-order DFS from the loss, parents visited in edge order. The
-  // stored sequence is the one Backward() would execute, so replaying
-  // it preserves every gradient accumulation order.
-  std::unordered_set<TensorImpl*> visited;
-  struct Frame {
-    TensorImpl* node;
-    std::size_t next_parent;
-  };
-  std::vector<Frame> stack;
-  stack.push_back({root_.get(), 0});
-  visited.insert(root_.get());
-  while (!stack.empty()) {
-    Frame& frame = stack.back();
-    if (frame.next_parent < frame.node->parents.size()) {
-      TensorImpl* parent = frame.node->parents[frame.next_parent++].get();
-      if (visited.insert(parent).second) {
-        stack.push_back({parent, 0});
-      }
-    } else {
-      order_.push_back(frame.node);
-      stack.pop_back();
-    }
-  }
+  order_ = internal::TopologicalOrder(root_.get());
 }
 
 void RecordedBackward::Run(const Tensor& loss) const {
@@ -85,11 +57,6 @@ void RecordedBackward::Run(const Tensor& loss) const {
   for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
     if ((*it)->backward_fn) (*it)->backward_fn();
   }
-}
-
-void RecordedBackward::Clear() {
-  root_.reset();
-  order_.clear();
 }
 
 }  // namespace poisonrec::nn

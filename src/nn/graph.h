@@ -7,12 +7,12 @@
 // nodes in creation order (a valid topological order by construction)
 // instead of re-running op dispatch, shape checks, and node allocation.
 //
-// RecordedBackward freezes the backward schedule the same way: it runs
-// the exact DFS Tensor::Backward() would run, once, and stores the
-// closure invocation order. Replaying that stored order accumulates
-// gradients into shared parents in the same sequence every epoch, which
-// is what keeps reuse bit-identical to fresh-tape backward — two valid
-// topological orders are NOT interchangeable under float accumulation.
+// RecordedBackward freezes the backward schedule the same way: it stores
+// internal::TopologicalOrder, the closure order Tensor::Backward() runs,
+// once. Replaying that stored order accumulates gradients into shared
+// parents in the same sequence every epoch, which is what keeps reuse
+// bit-identical to fresh-tape backward — two valid topological orders
+// are NOT interchangeable under float accumulation.
 #ifndef POISONREC_NN_GRAPH_H_
 #define POISONREC_NN_GRAPH_H_
 
@@ -42,7 +42,6 @@ class GraphTape {
   void ZeroGrads();
 
   std::size_t size() const { return nodes_.size(); }
-  void Clear() { nodes_.clear(); }
 
   /// The tape recording on this thread (nullptr when none). tensor.cc's
   /// Attach registers every tracked op output with it.
@@ -70,9 +69,9 @@ class GraphTape {
 /// Captured backward schedule for one scalar loss.
 class RecordedBackward {
  public:
-  /// Runs Tensor::Backward()'s DFS over `loss`'s graph and stores the
-  /// resulting closure order (without executing any closure). Call once
-  /// after the graph is first built.
+  /// Stores the closure order Tensor::Backward() would run over `loss`'s
+  /// graph (without executing any closure). Call once after the graph is
+  /// first built.
   void Capture(const Tensor& loss);
 
   /// Seeds d(loss)/d(loss) += 1 and invokes the captured closures in the
@@ -81,7 +80,6 @@ class RecordedBackward {
   void Run(const Tensor& loss) const;
 
   bool captured() const { return !order_.empty(); }
-  void Clear();
 
  private:
   // Keeps the graph alive independent of the caller's handles; raw

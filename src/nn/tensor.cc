@@ -4,7 +4,6 @@
 #include <cmath>
 #include <unordered_set>
 
-#include "nn/arena.h"
 #include "nn/graph.h"
 #include "nn/kernels.h"
 
@@ -17,9 +16,6 @@ namespace {
 thread_local bool g_grad_enabled = true;
 
 std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
-  if (TensorArena* arena = TensorArena::Current()) {
-    return arena->Acquire(rows, cols);
-  }
   auto node = std::make_shared<TensorImpl>();
   node->rows = rows;
   node->cols = cols;
@@ -164,25 +160,17 @@ std::string Tensor::ShapeString() const {
   return "(" + std::to_string(rows()) + "x" + std::to_string(cols()) + ")";
 }
 
-void Tensor::Backward() {
-  POISONREC_CHECK(defined());
-  POISONREC_CHECK(is_scalar()) << "Backward() requires a scalar loss, got "
-                               << ShapeString();
-  POISONREC_CHECK(impl_->requires_grad)
-      << "Backward() on a tensor that does not require grad";
-
-  // Iterative post-order DFS to build reverse topological order.
-  // RecordedBackward::Capture (nn/graph.cc) replicates this traversal
-  // to freeze the closure order for graph reuse — keep them in sync.
-  std::vector<TensorImpl*> topo;
+std::vector<TensorImpl*> internal::TopologicalOrder(TensorImpl* root) {
+  // Iterative post-order DFS, parents visited in edge order.
+  std::vector<TensorImpl*> order;
   std::unordered_set<TensorImpl*> visited;
   struct Frame {
     TensorImpl* node;
     std::size_t next_parent;
   };
   std::vector<Frame> stack;
-  stack.push_back({impl_.get(), 0});
-  visited.insert(impl_.get());
+  stack.push_back({root, 0});
+  visited.insert(root);
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
@@ -191,11 +179,22 @@ void Tensor::Backward() {
         stack.push_back({parent, 0});
       }
     } else {
-      topo.push_back(frame.node);
+      order.push_back(frame.node);
       stack.pop_back();
     }
   }
+  return order;
+}
 
+void Tensor::Backward() {
+  POISONREC_CHECK(defined());
+  POISONREC_CHECK(is_scalar()) << "Backward() requires a scalar loss, got "
+                               << ShapeString();
+  POISONREC_CHECK(impl_->requires_grad)
+      << "Backward() on a tensor that does not require grad";
+
+  const std::vector<TensorImpl*> topo =
+      internal::TopologicalOrder(impl_.get());
   impl_->EnsureGrad();
   impl_->grad[0] += 1.0f;
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
@@ -815,69 +814,6 @@ Tensor ConcatRows(const Tensor& a, const Tensor& b) {
           }
         },
         [ai, bi, oi]() { ConcatRowsForward(ai, bi, oi); });
-  }
-  return result;
-}
-
-namespace {
-
-void StackRowsForward(const std::vector<TensorImpl*>& parts, TensorImpl* oi) {
-  std::size_t offset = 0;
-  for (const TensorImpl* p : parts) {
-    std::copy(p->data.begin(), p->data.end(),
-              oi->data.begin() + static_cast<std::ptrdiff_t>(offset));
-    offset += p->data.size();
-  }
-}
-
-}  // namespace
-
-Tensor StackRows(const std::vector<Tensor>& parts) {
-  POISONREC_CHECK(!parts.empty());
-  const std::size_t cols = parts[0].cols();
-  std::size_t rows = 0;
-  for (const Tensor& p : parts) {
-    POISONREC_CHECK_EQ(p.cols(), cols);
-    rows += p.rows();
-  }
-  auto out = NewNode(rows, cols);
-  std::vector<TensorImpl*> impls;
-  impls.reserve(parts.size());
-  bool track = false;
-  for (const Tensor& p : parts) {
-    impls.push_back(p.impl().get());
-    if (p.requires_grad()) track = true;
-  }
-  TensorImpl* oi = out.get();
-  StackRowsForward(impls, oi);
-  Tensor result(out);
-  if (GradMode::Enabled() && track) {
-    out->requires_grad = true;
-    out->EnsureGrad();
-    // Parents in descending part order — Backward()'s post-order DFS
-    // then appends part N-1's subtree first, so the reversed closure
-    // order visits part 0's chain first. See the header comment: this
-    // is what makes the per-row recurrence accumulate into shared
-    // weights in the same ascending-row order as one batched GemmTN.
-    for (auto it = parts.rbegin(); it != parts.rend(); ++it) {
-      out->parents.push_back(it->impl());
-      if (it->requires_grad()) it->impl()->EnsureGrad();
-    }
-    out->backward_fn = [impls, oi]() {
-      std::size_t offset = 0;
-      for (TensorImpl* p : impls) {
-        if (p->requires_grad) {
-          for (std::size_t i = 0; i < p->grad.size(); ++i) {
-            p->grad[i] += oi->grad[offset + i];
-          }
-        }
-        offset += p->data.size();
-      }
-    };
-    if (GraphTape* tape = GraphTape::Current()) {
-      out->forward_fn = [impls, oi]() { StackRowsForward(impls, oi); };
-      tape->Register(out);
-    }
   }
   return result;
 }

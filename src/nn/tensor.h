@@ -52,6 +52,13 @@ struct TensorImpl {
   }
 };
 
+/// Every node reachable from `root` through parent edges, in post-order
+/// (parents visited in edge order, each node after all of its parents).
+/// Tensor::Backward runs the backward closures in the reverse of this
+/// order; RecordedBackward (nn/graph.h) stores it once so replays
+/// accumulate gradients in exactly the same sequence.
+std::vector<TensorImpl*> TopologicalOrder(TensorImpl* root);
+
 }  // namespace internal
 
 /// Thread-local gradient-recording mode (the PyTorch GradMode idiom).
@@ -200,16 +207,6 @@ Tensor Transpose(const Tensor& a);
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
 /// Vertical concatenation: (a x n) ++ (b x n) -> ((a+b) x n).
 Tensor ConcatRows(const Tensor& a, const Tensor& b);
-
-/// Variadic vertical stack: parts[0] on top, parts.back() at the bottom.
-/// Parents are registered in *descending* part order so Backward()'s
-/// reverse-post-order traversal runs part 0's producing chain first.
-/// The per-row PPO baseline relies on that: N per-row recurrence chains
-/// stacked per timestep accumulate into the shared LSTM weights in
-/// ascending row order — the same in-place add sequence one batched
-/// GemmTN issues — keeping the per-row and batched engines bit-identical
-/// through the update. See Policy::RecomputeLogProbs(per_row).
-Tensor StackRows(const std::vector<Tensor>& parts);
 
 /// Contiguous column slice: columns [start, start+len) -> (m x len).
 Tensor Cols(const Tensor& a, std::size_t start, std::size_t len);

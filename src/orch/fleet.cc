@@ -493,9 +493,11 @@ void FleetOrchestrator::WorkerLoop() {
         record.detail = outcome.detail;
         journal_.Record(record);
       }
-      const bool release_lease =
-          leases_ != nullptr && !outcome.fenced;
-      if (release_lease) {
+      // Detach under the lock the watchdog renews under, then release:
+      // a renewal must never find the released lease of a live entry.
+      lock.lock();
+      entry->supervisor.reset();
+      if (leases_ != nullptr && !outcome.fenced) {
         const Status released = leases_->Release(entry->spec.id, token);
         if (!released.ok()) {
           POISONREC_LOG(Warning)
@@ -503,8 +505,6 @@ void FleetOrchestrator::WorkerLoop() {
               << ": " << released.ToString();
         }
       }
-      lock.lock();
-      entry->supervisor.reset();
       if (outcome.fenced) {
         // The seizing sibling owns the campaign now; our provisional
         // outcome is kept only for the fenced flag — the final merged

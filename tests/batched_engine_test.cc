@@ -1,10 +1,11 @@
-// Batched-engine identity tests: every fast path the EngineConfig turns
-// on (batched episode sampling, recorded-graph reuse across PPO epochs,
-// the node-recycling arena) and every kernel-layer change underneath
-// them (fused LSTM gates, threaded SparseMatMul, small-GEMM dispatch)
-// must be bit-identical to the reference path it replaces — same
-// trajectories, same rewards, same post-update parameters — at every
-// thread count, and across checkpoint/resume.
+// Attacker-engine identity tests. TrainStep has one engine: per-episode
+// ParallelFor sampling, then K PPO epochs that replay one recorded graph
+// when B >= M and K > 1 and build fresh tapes otherwise. It must be
+// bit-identical — same trajectories, rewards, post-update parameters,
+// Adam moments and checkpoint bytes — at every thread count and across
+// checkpoint/resume, and the graph replay must match a fresh tape
+// exactly. The kernel-layer fast paths underneath (fused LSTM gates,
+// threaded SparseMatMul) are checked here too.
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -16,11 +17,12 @@
 #include "core/policy.h"
 #include "core/ppo.h"
 #include "data/synthetic.h"
-#include "nn/arena.h"
 #include "nn/graph.h"
 #include "nn/kernels.h"
+#include "nn/optimizer.h"
 #include "nn/sparse.h"
 #include "rec/registry.h"
+#include "util/fsio.h"
 #include "util/random.h"
 
 namespace poisonrec::core {
@@ -72,14 +74,6 @@ struct Fixture {
     return cfg;
   }
 
-  static PoisonRecConfig MakeReferenceConfig() {
-    PoisonRecConfig cfg = MakeAttackerConfig();
-    cfg.engine.batched_sampling = false;
-    cfg.engine.reuse_update_graph = false;
-    cfg.engine.tensor_arena = false;
-    return cfg;
-  }
-
   env::AttackEnvironment environment;
 };
 
@@ -99,8 +93,8 @@ void ExpectTrajectoriesBitwiseEqual(
           << context << " traj " << i << " step " << t;
       ASSERT_EQ(sa.old_log_probs.size(), sb.old_log_probs.size()) << context;
       for (std::size_t d = 0; d < sa.old_log_probs.size(); ++d) {
-        // Bitwise: the batched recurrence must reproduce the per-episode
-        // recurrence exactly, not approximately.
+        // Bitwise: the same RNG stream must reproduce the same
+        // decisions exactly, not approximately.
         ASSERT_EQ(sa.old_log_probs[d], sb.old_log_probs[d])
             << context << " traj " << i << " step " << t << " decision " << d;
       }
@@ -122,7 +116,7 @@ std::unique_ptr<Policy> MakeStandalonePolicy(std::size_t num_attackers,
                                   originals, targets, cfg);
 }
 
-// -- Batched sampler -------------------------------------------------------
+// -- SampleEpisodesBatched == M x SampleEpisode ---------------------------
 
 TEST(BatchedSamplerTest, MatchesPerEpisodeSamplingBitwise) {
   ThreadGuard guard;
@@ -181,59 +175,7 @@ TEST(BatchedSamplerTest, MatchesPerEpisodeAcrossActionSpaces) {
   }
 }
 
-// -- Per-row baseline ------------------------------------------------------
-
-TEST(PerRowBaselineTest, SamplingMatchesBatchedBitwise) {
-  for (const std::size_t n : {std::size_t{1}, std::size_t{20}}) {
-    auto policy = MakeStandalonePolicy(n, ActionSpaceKind::kBcbtPopular);
-    Rng batched_rng(DeriveStreamSeed(17, 3, 0));
-    Rng per_row_rng(DeriveStreamSeed(17, 3, 0));
-    const auto batched = policy->SampleEpisode(6, &batched_rng);
-    const auto per_row = policy->SampleEpisodePerRow(6, &per_row_rng);
-    ExpectTrajectoriesBitwiseEqual(batched, per_row,
-                                   "per-row N=" + std::to_string(n));
-  }
-}
-
-TEST(PerRowBaselineTest, SamplingMatchesAcrossActionSpaces) {
-  for (const ActionSpaceKind kind :
-       {ActionSpaceKind::kPlain, ActionSpaceKind::kBPlain,
-        ActionSpaceKind::kBcbtRandom, ActionSpaceKind::kCbtUnbiased}) {
-    auto policy = MakeStandalonePolicy(8, kind);
-    Rng batched_rng(DeriveStreamSeed(21, 4, 0));
-    Rng per_row_rng(DeriveStreamSeed(21, 4, 0));
-    const auto batched = policy->SampleEpisode(5, &batched_rng);
-    const auto per_row = policy->SampleEpisodePerRow(5, &per_row_rng);
-    ExpectTrajectoriesBitwiseEqual(batched, per_row,
-                                   ActionSpaceKindName(kind));
-  }
-}
-
-TEST(StackRowsTest, ForwardLayoutAndScatteredGradients) {
-  Rng rng(31);
-  std::vector<nn::Tensor> parts;
-  for (int i = 0; i < 3; ++i) {
-    parts.push_back(nn::Tensor::Randn(1, 4, 1.0f, &rng, true));
-  }
-  nn::Tensor stacked = nn::StackRows(parts);
-  ASSERT_EQ(stacked.rows(), 3u);
-  ASSERT_EQ(stacked.cols(), 4u);
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_EQ(stacked.at(r, c), parts[r].at(0, c)) << r << "," << c;
-    }
-  }
-  // d/dx sum(stacked * stacked) = 2*stacked, sliced back to each part.
-  nn::Tensor loss = nn::Sum(nn::Mul(stacked, stacked));
-  loss.Backward();
-  for (std::size_t r = 0; r < 3; ++r) {
-    for (std::size_t c = 0; c < 4; ++c) {
-      EXPECT_FLOAT_EQ(parts[r].grad()[c], 2.0f * parts[r].at(0, c));
-    }
-  }
-}
-
-// -- Full engine vs reference engine ---------------------------------------
+// -- TrainStep -------------------------------------------------------------
 
 void ExpectStepStatsBitwiseEqual(const TrainStepStats& a,
                                  const TrainStepStats& b,
@@ -261,123 +203,86 @@ void ExpectParametersBitwiseEqual(const Policy& a, const Policy& b,
   }
 }
 
-TEST(BatchedEngineTest, MatchesReferenceEngineBitwise) {
-  ThreadGuard guard;
-  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+std::string CheckpointBytes(const PoisonRecAttacker& attacker,
+                            const char* name) {
+  const std::string path = TempPath(name);
+  EXPECT_TRUE(attacker.SaveCheckpoint(path).ok()) << name;
+  StatusOr<std::string> bytes = ReadFileBytes(path);
+  std::remove(path.c_str());
+  EXPECT_TRUE(bytes.ok()) << name;
+  return bytes.ok() ? *bytes : std::string();
+}
+
+/// Trains a fresh attacker for `steps` steps with `threads` sampling,
+/// reward-query and kernel threads.
+struct ThreadedRun {
+  ThreadedRun(const PoisonRecConfig& base, std::size_t threads,
+              std::size_t steps)
+      : attacker(&fixture.environment, WithThreads(base, threads)) {
     nn::SetNumThreads(threads);
-    Fixture f_ref;
-    Fixture f_fast;
-    PoisonRecAttacker reference(&f_ref.environment,
-                                Fixture::MakeReferenceConfig());
-    PoisonRecAttacker fast(&f_fast.environment, Fixture::MakeAttackerConfig());
-    const auto ref_stats = reference.Train(3);
-    const auto fast_stats = fast.Train(3);
-    ASSERT_EQ(ref_stats.size(), fast_stats.size());
-    for (std::size_t s = 0; s < ref_stats.size(); ++s) {
-      ExpectStepStatsBitwiseEqual(
-          ref_stats[s], fast_stats[s],
-          "threads=" + std::to_string(threads) + " step " + std::to_string(s));
-    }
-    ExpectParametersBitwiseEqual(reference.policy(), fast.policy(),
-                                 "threads=" + std::to_string(threads));
+    stats = attacker.Train(steps);
   }
+
+  static PoisonRecConfig WithThreads(PoisonRecConfig cfg,
+                                     std::size_t threads) {
+    cfg.num_threads = threads;
+    cfg.parallel_sampling = true;
+    cfg.parallel_rewards = threads > 1;
+    return cfg;
+  }
+
+  Fixture fixture;
+  PoisonRecAttacker attacker;
+  std::vector<TrainStepStats> stats;
+};
+
+void ExpectRunsBitwiseEqual(const ThreadedRun& a, const ThreadedRun& b,
+                            const std::string& context) {
+  ASSERT_EQ(a.stats.size(), b.stats.size()) << context;
+  for (std::size_t s = 0; s < a.stats.size(); ++s) {
+    ExpectStepStatsBitwiseEqual(a.stats[s], b.stats[s],
+                                context + " step " + std::to_string(s));
+  }
+  ExpectParametersBitwiseEqual(a.attacker.policy(), b.attacker.policy(),
+                               context);
+  // The checkpoint carries the Adam moments, RNG state and best episode.
+  EXPECT_EQ(CheckpointBytes(a.attacker, "poisonrec_engine_a.ckpt"),
+            CheckpointBytes(b.attacker, "poisonrec_engine_b.ckpt"))
+      << context;
 }
 
-TEST(BatchedEngineTest, PerRowBaselineMatchesBatchedEngineBitwise) {
-  // The speedup denominator of bench_train_step_timing must also be its
-  // identity oracle: the per-row baseline (1×d recurrence chains, per-row
-  // tape nodes, fresh tapes) has to produce the same trajectories,
-  // rewards, and post-update parameters as the fully batched engine.
-  // This exercises the StackRows parent-ordering contract: per-row
-  // backward chains must accumulate into the shared LSTM/embedding
-  // weights in the batched GemmTN's ascending-row order.
-  Fixture f_base;
-  Fixture f_fast;
-  PoisonRecConfig base_cfg = Fixture::MakeReferenceConfig();
-  base_cfg.engine.per_row_recurrence = true;
-  PoisonRecAttacker baseline(&f_base.environment, base_cfg);
-  PoisonRecAttacker fast(&f_fast.environment, Fixture::MakeAttackerConfig());
-  const auto base_stats = baseline.Train(3);
-  const auto fast_stats = fast.Train(3);
-  ASSERT_EQ(base_stats.size(), fast_stats.size());
-  for (std::size_t s = 0; s < base_stats.size(); ++s) {
-    ExpectStepStatsBitwiseEqual(base_stats[s], fast_stats[s],
-                                "per-row step " + std::to_string(s));
-  }
-  ExpectParametersBitwiseEqual(baseline.policy(), fast.policy(), "per-row");
+TEST(EngineTest, MatchesAcrossThreadCountsBitwise) {
+  // B >= M and K > 1: the recorded-graph update path.
+  ThreadGuard guard;
+  const ThreadedRun one(Fixture::MakeAttackerConfig(), 1, 3);
+  const ThreadedRun four(Fixture::MakeAttackerConfig(), 4, 3);
+  ExpectRunsBitwiseEqual(one, four, "graph reuse, 1 vs 4 threads");
 }
 
-TEST(BatchedEngineTest, EachFastPathAloneMatchesReference) {
-  // Isolate every engine flag so a regression names its culprit.
-  struct Case {
-    const char* name;
-    bool batched;
-    bool reuse;
-    bool arena;
-  };
-  const Case cases[] = {{"batched_sampling", true, false, false},
-                        {"reuse_update_graph", false, true, false},
-                        {"tensor_arena", false, false, true}};
-  Fixture f_ref;
-  PoisonRecAttacker reference(&f_ref.environment,
-                              Fixture::MakeReferenceConfig());
-  const auto ref_stats = reference.Train(2);
-  for (const Case& c : cases) {
-    Fixture f;
-    PoisonRecConfig cfg = Fixture::MakeReferenceConfig();
-    cfg.engine.batched_sampling = c.batched;
-    cfg.engine.reuse_update_graph = c.reuse;
-    cfg.engine.tensor_arena = c.arena;
-    PoisonRecAttacker attacker(&f.environment, cfg);
-    const auto stats = attacker.Train(2);
-    ASSERT_EQ(stats.size(), ref_stats.size()) << c.name;
-    for (std::size_t s = 0; s < stats.size(); ++s) {
-      ExpectStepStatsBitwiseEqual(ref_stats[s], stats[s],
-                                  std::string(c.name) + " step " +
-                                      std::to_string(s));
-    }
-    ExpectParametersBitwiseEqual(reference.policy(), attacker.policy(),
-                                 c.name);
-  }
+TEST(EngineTest, SubsampledBatchesMatchAcrossThreadCountsBitwise) {
+  // batch_size < samples_per_step resamples the batch each epoch, so
+  // every epoch builds a fresh tape; the batch draw consumes the shared
+  // RNG, which must not depend on the thread count either.
+  ThreadGuard guard;
+  PoisonRecConfig cfg = Fixture::MakeAttackerConfig();
+  cfg.samples_per_step = 6;
+  cfg.batch_size = 4;
+  const ThreadedRun one(cfg, 1, 2);
+  const ThreadedRun four(cfg, 4, 2);
+  ExpectRunsBitwiseEqual(one, four, "fresh tapes, 1 vs 4 threads");
 }
 
-TEST(BatchedEngineTest, GraphReuseDisabledForSubsampledBatches) {
-  // batch_size < samples_per_step resamples the batch each epoch, so the
-  // recorded-graph path must quietly stand down; the run still works and
-  // matches the reference engine (the batch draw consumes the same
-  // shared-RNG sequence either way).
-  Fixture f_ref;
-  Fixture f_fast;
-  PoisonRecConfig ref_cfg = Fixture::MakeReferenceConfig();
-  ref_cfg.samples_per_step = 6;
-  ref_cfg.batch_size = 4;
-  PoisonRecConfig fast_cfg = Fixture::MakeAttackerConfig();
-  fast_cfg.samples_per_step = 6;
-  fast_cfg.batch_size = 4;
-  PoisonRecAttacker reference(&f_ref.environment, ref_cfg);
-  PoisonRecAttacker fast(&f_fast.environment, fast_cfg);
-  const auto ref_stats = reference.Train(2);
-  const auto fast_stats = fast.Train(2);
-  for (std::size_t s = 0; s < ref_stats.size(); ++s) {
-    ExpectStepStatsBitwiseEqual(ref_stats[s], fast_stats[s],
-                                "subsampled step " + std::to_string(s));
-  }
-  ExpectParametersBitwiseEqual(reference.policy(), fast.policy(),
-                               "subsampled");
-}
-
-TEST(BatchedEngineTest, CheckpointResumeCrossesEnginesBitwise) {
-  // The strongest compatibility claim: a reference-engine run that never
-  // stopped, vs a batched-engine run killed at step 2 and resumed from
-  // its checkpoint. Same checkpoint format, same RNG streams, same
-  // arithmetic — the tails must agree bitwise.
+TEST(EngineTest, CheckpointResumeMatchesUninterruptedBitwise) {
+  // A run that never stopped vs one killed at step 2 and resumed from
+  // its checkpoint: same RNG streams, same arithmetic, so the tails,
+  // the final parameters and the final checkpoints must agree bitwise.
   Fixture f_full;
   Fixture f_killed;
   PoisonRecAttacker uninterrupted(&f_full.environment,
-                                  Fixture::MakeReferenceConfig());
+                                  Fixture::MakeAttackerConfig());
   const auto reference = uninterrupted.Train(4);
 
-  const std::string path = TempPath("poisonrec_batched_engine_ckpt.bin");
+  const std::string path = TempPath("poisonrec_engine_resume.ckpt");
   {
     PoisonRecAttacker first(&f_killed.environment,
                             Fixture::MakeAttackerConfig());
@@ -387,6 +292,7 @@ TEST(BatchedEngineTest, CheckpointResumeCrossesEnginesBitwise) {
   PoisonRecAttacker resumed(&f_killed.environment,
                             Fixture::MakeAttackerConfig());
   ASSERT_TRUE(resumed.LoadCheckpoint(path).ok());
+  std::remove(path.c_str());
   EXPECT_EQ(resumed.steps_taken(), 2u);
   const auto tail = resumed.Train(2);
   ASSERT_EQ(tail.size(), 2u);
@@ -394,7 +300,10 @@ TEST(BatchedEngineTest, CheckpointResumeCrossesEnginesBitwise) {
     ExpectStepStatsBitwiseEqual(reference[2 + i], tail[i],
                                 "resumed step " + std::to_string(i));
   }
-  std::remove(path.c_str());
+  ExpectParametersBitwiseEqual(uninterrupted.policy(), resumed.policy(),
+                               "resumed");
+  EXPECT_EQ(CheckpointBytes(uninterrupted, "poisonrec_engine_full.ckpt"),
+            CheckpointBytes(resumed, "poisonrec_engine_resumed.ckpt"));
 }
 
 // -- Graph record/replay ----------------------------------------------------
@@ -457,53 +366,89 @@ TEST(RecordedBackwardTest, MatchesFreshBackwardBitwise) {
   ASSERT_EQ(w.grad(), want);
 }
 
-// -- Arena ------------------------------------------------------------------
+TEST(GraphReuseTest, PolicyRecomputeReplayMatchesFreshTapeBitwise) {
+  // The PPO update's identity oracle for graph reuse: record the policy
+  // log-prob recompute and a loss over it, move the parameters with an
+  // Adam step, then replay. The replayed log-probs must equal a fresh
+  // RecomputeLogProbs, and the captured backward schedule must produce
+  // the gradients loss.Backward() produces on a fresh tape.
+  for (const ActionSpaceKind kind :
+       {ActionSpaceKind::kPlain, ActionSpaceKind::kBPlain,
+        ActionSpaceKind::kBcbtPopular, ActionSpaceKind::kBcbtRandom,
+        ActionSpaceKind::kCbtUnbiased}) {
+    const std::string context = ActionSpaceKindName(kind);
+    auto policy = MakeStandalonePolicy(6, kind);
+    std::vector<Rng> rngs;
+    for (std::size_t e = 0; e < 2; ++e) {
+      rngs.emplace_back(DeriveStreamSeed(13, 1, e));
+    }
+    const auto episodes = policy->SampleEpisodesBatched(2, 5, &rngs);
+    std::vector<const SampledTrajectory*> trajs;
+    for (const auto& episode : episodes) {
+      for (const SampledTrajectory& t : episode) trajs.push_back(&t);
+    }
+    // A row-weighted sum, so every decision's gradient differs.
+    auto loss_of = [](const std::vector<DecisionBatch>& decisions) {
+      nn::Tensor total;
+      for (const DecisionBatch& d : decisions) {
+        const std::size_t k = d.new_log_probs.rows();
+        std::vector<float> w(k);
+        for (std::size_t i = 0; i < k; ++i) w[i] = 0.5f + 0.25f * (i % 3);
+        const nn::Tensor s = nn::Sum(nn::Mul(
+            d.new_log_probs, nn::Tensor::FromData(k, 1, std::move(w))));
+        total = total.defined() ? nn::Add(total, s) : s;
+      }
+      return total;
+    };
+    const std::vector<nn::Tensor> params = policy->Parameters();
+    auto grads = [&params]() {
+      std::vector<std::vector<float>> out;
+      for (const nn::Tensor& p : params) out.push_back(p.grad());
+      return out;
+    };
+    nn::Adam adam(params, /*lr=*/0.05f);
 
-TEST(TensorArenaTest, RecyclesNodesAcrossScopesWithoutChangingResults) {
-  Rng rng(7);
-  nn::Tensor w = nn::Tensor::Randn(8, 8, 0.5f, &rng, /*requires_grad=*/true);
-  nn::Tensor x = nn::Tensor::Randn(8, 8, 0.5f, &rng);
+    nn::GraphTape tape;
+    std::vector<DecisionBatch> recorded;
+    nn::Tensor loss;
+    {
+      nn::GraphTape::RecordScope record(&tape);
+      recorded = policy->RecomputeLogProbs(trajs);
+      loss = loss_of(recorded);
+    }
+    nn::RecordedBackward backward;
+    backward.Capture(loss);
+    adam.ZeroGrad();
+    backward.Run(loss);
+    const auto first_grads = grads();
+    const std::vector<float> first_log_probs =
+        recorded[0].new_log_probs.data();
+    adam.ZeroGrad();
+    loss_of(policy->RecomputeLogProbs(trajs)).Backward();
+    ASSERT_EQ(grads(), first_grads) << context;
+    adam.Step();
 
-  auto run = [&]() {
-    nn::Tensor loss = nn::Sum(nn::Relu(nn::MatMul(x, w)));
-    const float value = loss.item();
-    w.ZeroGrad();
-    loss.Backward();
-    return std::make_pair(value, w.grad());
-  };
+    tape.ReplayForward();
+    const std::vector<DecisionBatch> fresh = policy->RecomputeLogProbs(trajs);
+    ASSERT_EQ(recorded.size(), fresh.size()) << context;
+    for (std::size_t b = 0; b < fresh.size(); ++b) {
+      ASSERT_EQ(recorded[b].new_log_probs.data(), fresh[b].new_log_probs.data())
+          << context << " decision batch " << b;
+    }
+    EXPECT_NE(recorded[0].new_log_probs.data(), first_log_probs)
+        << context << ": the Adam step must move the replayed log-probs";
 
-  const auto want = run();  // no arena
-
-  nn::TensorArena arena;
-  std::pair<float, std::vector<float>> first, second;
-  {
-    nn::TensorArena::Scope scope(&arena);
-    first = run();
+    adam.ZeroGrad();
+    tape.ZeroGrads();
+    backward.Run(loss);
+    const auto replayed_grads = grads();
+    adam.ZeroGrad();
+    nn::Tensor fresh_loss = loss_of(fresh);
+    ASSERT_EQ(loss.item(), fresh_loss.item()) << context;
+    fresh_loss.Backward();
+    EXPECT_EQ(replayed_grads, grads()) << context;
+    EXPECT_NE(replayed_grads, first_grads) << context;
   }
-  EXPECT_EQ(arena.free_count(), arena.total_acquired())
-      << "all step-local nodes should recycle once their handles die";
-  {
-    nn::TensorArena::Scope scope(&arena);
-    second = run();
-  }
-  EXPECT_GT(arena.total_recycled(), 0u)
-      << "second scope should reuse the first scope's buffers";
-  EXPECT_EQ(first.first, want.first);
-  EXPECT_EQ(first.second, want.second);
-  EXPECT_EQ(second.first, want.first);
-  EXPECT_EQ(second.second, want.second);
-}
-
-TEST(TensorArenaTest, EscapedTensorsSurviveReset) {
-  nn::TensorArena arena;
-  nn::Tensor kept;
-  {
-    nn::TensorArena::Scope scope(&arena);
-    kept = nn::AddScalar(nn::Tensor::Full(2, 2, 1.5f), 0.5f);
-  }
-  // The handle outlives the scope: the node must escape recycling and
-  // keep its values.
-  for (float v : kept.data()) EXPECT_EQ(v, 2.0f);
 }
 
 // -- Fused LSTM gates -------------------------------------------------------

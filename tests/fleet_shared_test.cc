@@ -10,6 +10,8 @@
 //      fencing token; SIGCONT revives the zombie, whose late writes are
 //      rejected by lease validation — it observes it was fenced and
 //      exits cleanly, and the merged journal is uncorrupted.
+//   3. Clean release: a lone worker that renews its leases constantly
+//      never fences itself when its campaigns finish.
 //
 // POSIX-only by construction (fork/kill/waitpid); gated like
 // fleet_recovery_test.cc.
@@ -30,6 +32,7 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "obs/metrics.h"
 #include "orch/fleet.h"
 #include "orch/journal.h"
 #include "orch/spec.h"
@@ -285,6 +288,37 @@ TEST(FleetSharedTest, SigstoppedZombieIsFencedAndItsLateWritesRejected) {
         << "step " << step;
   }
   EXPECT_DOUBLE_EQ(ref.best_reward, shard0.best_reward);
+  std::filesystem::remove_all(base);
+}
+
+TEST(FleetSharedTest, CleanWorkerNeverFencesItselfOnRelease) {
+  // A finished campaign's lease used to be released while its entry was
+  // still kRunning with a live supervisor, so a watchdog renewal landing
+  // in between read the empty owner, counted a fence and soft-stopped
+  // the finished campaign. A short TTL and a fast watchdog renew on
+  // nearly every poll, so that window is hit whenever it exists.
+  const auto base =
+      std::filesystem::temp_directory_path() / "poisonrec_shared_clean";
+  std::filesystem::remove_all(base);
+  std::filesystem::create_directories(base);
+
+  const data::Dataset log = MakeLog();
+  FleetPlan plan = SharedPlan(12);
+  for (CampaignSpec& spec : plan.campaigns) spec.steps = 2;
+  FleetOptions options = SharedOptions(base.string(), "wA");
+  options.max_concurrent = 2;  // no fork here
+  options.lease_ttl_seconds = 0.006;
+  options.watchdog_poll_seconds = 0.001;
+
+  const obs::Counter* fenced = obs::MetricsRegistry::Global().GetCounter(
+      "poisonrec_fleet_lease_fenced_total");
+  const std::uint64_t fenced_before = fenced->Value();
+  FleetOrchestrator worker(plan, &log, options);
+  const FleetResult result = worker.Run();
+  ASSERT_EQ(result.ExitCode(), 0) << result.status;
+  EXPECT_EQ(result.done, plan.campaigns.size());
+  EXPECT_EQ(result.fenced, 0u);
+  EXPECT_EQ(fenced->Value() - fenced_before, 0u);
   std::filesystem::remove_all(base);
 }
 
