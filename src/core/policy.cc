@@ -307,12 +307,6 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
   std::vector<nn::Tensor> hs = HiddenStates(attacker_ids, sequences, T);
   std::vector<DecisionBatch> batches;
 
-  nn::Tensor feats;  // [item embeddings; node embeddings] for tree gathers
-  const bool use_tree = tree_ != nullptr;
-  if (use_tree) {
-    feats = nn::ConcatRows(item_emb_.table(), node_emb_);
-  }
-
   for (std::size_t t = 0; t < T; ++t) {
     nn::Tensor dht = dnn_.Forward(hs[t]);  // (rows x dim)
     switch (config_.action_space) {
@@ -370,37 +364,27 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
       case ActionSpaceKind::kBcbtPopular:
       case ActionSpaceKind::kBcbtRandom:
       case ActionSpaceKind::kCbtUnbiased: {
-        // Group decisions by depth so each group is one batched gather.
-        std::size_t max_decisions = 0;
+        // Every decision of every row's path, row-major, in one fused
+        // op: feature indices address [item embeddings; node embeddings].
+        std::vector<std::size_t> row_offsets(rows + 1, 0);
+        std::vector<std::size_t> chosen_rows;
+        std::vector<std::size_t> sibling_rows;
+        DecisionBatch batch;
         for (std::size_t r = 0; r < rows; ++r) {
-          max_decisions = std::max(
-              max_decisions, trajectories[r]->steps[t].path.size() - 1);
-        }
-        for (std::size_t d = 0; d < max_decisions; ++d) {
-          std::vector<std::size_t> row_idx;
-          std::vector<std::size_t> chosen_rows;
-          std::vector<std::size_t> other_rows;
-          DecisionBatch batch;
-          for (std::size_t r = 0; r < rows; ++r) {
-            const SampledStep& step = trajectories[r]->steps[t];
-            if (step.path.size() < d + 2) continue;
+          const SampledStep& step = trajectories[r]->steps[t];
+          for (std::size_t d = 0; d + 1 < step.path.size(); ++d) {
             const int chosen = step.path[d + 1];
-            const int other = tree_->Sibling(chosen);
-            row_idx.push_back(r);
             chosen_rows.push_back(NodeFeatureRow(chosen));
-            other_rows.push_back(NodeFeatureRow(other));
+            sibling_rows.push_back(NodeFeatureRow(tree_->Sibling(chosen)));
             batch.old_log_probs.push_back(step.old_log_probs[d]);
             batch.traj_index.push_back(r);
           }
-          if (row_idx.empty()) continue;
-          nn::Tensor q = nn::Rows(dht, row_idx);
-          nn::Tensor ch = nn::Rows(feats, chosen_rows);
-          nn::Tensor ot = nn::Rows(feats, other_rows);
-          nn::Tensor diff = nn::Sub(nn::RowDot(q, ot), nn::RowDot(q, ch));
-          // log sigmoid(o_ch - o_ot) = -softplus(o_ot - o_ch)
-          batch.new_log_probs = nn::Scale(nn::Softplus(diff), -1.0f);
-          batches.push_back(std::move(batch));
+          row_offsets[r + 1] = chosen_rows.size();
         }
+        batch.new_log_probs = nn::TreePathLogProb(
+            dht, item_emb_.table(), node_emb_, std::move(row_offsets),
+            std::move(chosen_rows), std::move(sibling_rows));
+        batches.push_back(std::move(batch));
         break;
       }
     }

@@ -45,9 +45,13 @@ struct PolicyConfig {
   std::uint64_t seed = 123;
 };
 
-/// A batch of homogeneous decisions recomputed under current parameters
-/// (for the PPO ratio). Row k corresponds to trajectory
-/// `traj_index[k]` and has stored old log-prob `old_log_probs[k]`.
+/// A batch of decisions recomputed under current parameters (for the PPO
+/// ratio). Row k corresponds to trajectory `traj_index[k]` and has stored
+/// old log-prob `old_log_probs[k]`. RecomputeLogProbs emits, per
+/// timestep, one batch for Plain, two for BPlain (set choice, then item)
+/// and one for the tree designs: every BCBT level of every row's path,
+/// row-major (row r's root decision first), each level scored as its own
+/// Eq. 9 decision by one nn::TreePathLogProb op.
 struct DecisionBatch {
   nn::Tensor new_log_probs;            // (K x 1), differentiable
   std::vector<double> old_log_probs;   // K
@@ -105,8 +109,8 @@ class Policy {
       const std::vector<std::vector<data::ItemId>>& item_prefixes,
       std::size_t trajectory_length) const;
 
-  /// Feature-row index of a tree node in the concatenated
-  /// [item embeddings; node embeddings] table.
+  /// Feature index of a tree node in the virtual [item embeddings;
+  /// node embeddings] table nn::TreePathLogProb reads.
   std::size_t NodeFeatureRow(int node_id) const;
 
   /// Raw feature pointer for tree-walk sampling (no autograd).

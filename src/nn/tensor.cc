@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <unordered_set>
 
 #include "nn/graph.h"
@@ -51,6 +52,18 @@ void Attach(const std::shared_ptr<TensorImpl>& out,
     out->forward_fn = std::forward<FwdFn>(forward_fn);
     tape->Register(out);
   }
+}
+
+// Scalar formulas shared by the unary ops and the fused ops built from
+// them, so a fused op reproduces its unfused chain bit-for-bit.
+inline float StableSigmoid(float x) {
+  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
+                   : std::exp(x) / (1.0f + std::exp(x));
+}
+
+// log(1 + exp(x)), numerically stable.
+inline float StableSoftplus(float x) {
+  return x > 0.0f ? x + std::log1p(std::exp(-x)) : std::log1p(std::exp(x));
 }
 
 }  // namespace
@@ -269,103 +282,87 @@ AddKind CheckAddShapes(const Tensor& a, const Tensor& b) {
   return AddKind::kBroadcastRow;
 }
 
+// out = a + sign·b, row-partitioned. `sign` is ±1, so sign·b is exact
+// and a + (−b) rounds exactly like a − b: one loop serves Add and Sub.
 void AddForward(const TensorImpl* ai, const TensorImpl* bi, TensorImpl* oi,
                 AddKind kind, float sign) {
   const std::size_t n = ai->cols;
-  for (std::size_t r = 0; r < ai->rows; ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      const float bv = kind == AddKind::kSame ? bi->at(r, c) : bi->at(0, c);
-      oi->at(r, c) = ai->at(r, c) + sign * bv;
-    }
+  kernels::ParallelRows(
+      ai->rows, ai->data.size(), [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          const float* a = ai->data.data() + r * n;
+          const float* b =
+              bi->data.data() + (kind == AddKind::kSame ? r * n : 0);
+          float* o = oi->data.data() + r * n;
+          for (std::size_t c = 0; c < n; ++c) o[c] = a[c] + sign * b[c];
+        }
+      });
+}
+
+// dst[i] += sign·src[i] over a flat buffer, partitioned by element.
+void AccumulateScaled(float* dst, const float* src, std::size_t size,
+                      float sign) {
+  kernels::ParallelRows(size, size, [&](std::size_t i0, std::size_t i1) {
+    for (std::size_t i = i0; i < i1; ++i) dst[i] += sign * src[i];
+  });
+}
+
+// Column width of one broadcast-bias gradient block, a 64-byte line of
+// floats: every block re-reads all rows of the output gradient, so
+// narrower blocks would multiply that traffic for no extra parallelism.
+constexpr std::size_t kBiasColumnBlock = 16;
+
+void AddBackward(TensorImpl* ai, TensorImpl* bi, const TensorImpl* oi,
+                 AddKind kind, float sign) {
+  if (ai->requires_grad) {
+    AccumulateScaled(ai->grad.data(), oi->grad.data(), ai->grad.size(), 1.0f);
   }
+  if (!bi->requires_grad) return;
+  if (kind == AddKind::kSame) {
+    AccumulateScaled(bi->grad.data(), oi->grad.data(), bi->grad.size(), sign);
+    return;
+  }
+  // Broadcast bias: partitioned by column block, each column still
+  // summing rows in ascending order — the serial loop's exact sequence.
+  const std::size_t rows = oi->rows;
+  const std::size_t n = oi->cols;
+  const std::size_t blocks = (n + kBiasColumnBlock - 1) / kBiasColumnBlock;
+  kernels::ParallelRows(
+      blocks, oi->grad.size(), [&](std::size_t b0, std::size_t b1) {
+        const std::size_t c0 = b0 * kBiasColumnBlock;
+        const std::size_t c1 = std::min(n, b1 * kBiasColumnBlock);
+        float* bg = bi->grad.data();
+        for (std::size_t r = 0; r < rows; ++r) {
+          const float* og = oi->grad.data() + r * n;
+          for (std::size_t c = c0; c < c1; ++c) bg[c] += sign * og[c];
+        }
+      });
+}
+
+// Add (sign +1) and Sub (sign −1): the build-time forward and the replay
+// closure run the same AddForward.
+Tensor AddOrSub(const Tensor& a, const Tensor& b, float sign) {
+  const AddKind kind = CheckAddShapes(a, b);
+  auto out = NewNode(a.rows(), a.cols());
+  TensorImpl* ai = a.impl().get();
+  TensorImpl* bi = b.impl().get();
+  TensorImpl* oi = out.get();
+  AddForward(ai, bi, oi, kind, sign);
+  Tensor result(out);
+  if (TrackGrad({&a, &b})) {
+    Attach(
+        out, {&a, &b},
+        [ai, bi, oi, kind, sign]() { AddBackward(ai, bi, oi, kind, sign); },
+        [ai, bi, oi, kind, sign]() { AddForward(ai, bi, oi, kind, sign); });
+  }
+  return result;
 }
 
 }  // namespace
 
-Tensor Add(const Tensor& a, const Tensor& b) {
-  const AddKind kind = CheckAddShapes(a, b);
-  auto out = NewNode(a.rows(), a.cols());
-  TensorImpl* ai = a.impl().get();
-  TensorImpl* bi = b.impl().get();
-  TensorImpl* oi = out.get();
-  const std::size_t n = a.cols();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < n; ++c) {
-      const float bv =
-          kind == AddKind::kSame ? b.at(r, c) : b.at(0, c);
-      out->at(r, c) = a.at(r, c) + bv;
-    }
-  }
-  Tensor result(out);
-  if (TrackGrad({&a, &b})) {
-    Attach(
-        out, {&a, &b},
-        [ai, bi, oi, kind]() {
-          if (ai->requires_grad) {
-            for (std::size_t i = 0; i < ai->grad.size(); ++i) {
-              ai->grad[i] += oi->grad[i];
-            }
-          }
-          if (bi->requires_grad) {
-            if (kind == AddKind::kSame) {
-              for (std::size_t i = 0; i < bi->grad.size(); ++i) {
-                bi->grad[i] += oi->grad[i];
-              }
-            } else {
-              for (std::size_t r = 0; r < oi->rows; ++r) {
-                for (std::size_t c = 0; c < oi->cols; ++c) {
-                  bi->grad[c] += oi->gat(r, c);
-                }
-              }
-            }
-          }
-        },
-        [ai, bi, oi, kind]() { AddForward(ai, bi, oi, kind, 1.0f); });
-  }
-  return result;
-}
+Tensor Add(const Tensor& a, const Tensor& b) { return AddOrSub(a, b, 1.0f); }
 
-Tensor Sub(const Tensor& a, const Tensor& b) {
-  const AddKind kind = CheckAddShapes(a, b);
-  auto out = NewNode(a.rows(), a.cols());
-  TensorImpl* ai = a.impl().get();
-  TensorImpl* bi = b.impl().get();
-  TensorImpl* oi = out.get();
-  for (std::size_t r = 0; r < a.rows(); ++r) {
-    for (std::size_t c = 0; c < a.cols(); ++c) {
-      const float bv =
-          kind == AddKind::kSame ? b.at(r, c) : b.at(0, c);
-      out->at(r, c) = a.at(r, c) - bv;
-    }
-  }
-  Tensor result(out);
-  if (TrackGrad({&a, &b})) {
-    Attach(
-        out, {&a, &b},
-        [ai, bi, oi, kind]() {
-          if (ai->requires_grad) {
-            for (std::size_t i = 0; i < ai->grad.size(); ++i) {
-              ai->grad[i] += oi->grad[i];
-            }
-          }
-          if (bi->requires_grad) {
-            if (kind == AddKind::kSame) {
-              for (std::size_t i = 0; i < bi->grad.size(); ++i) {
-                bi->grad[i] -= oi->grad[i];
-              }
-            } else {
-              for (std::size_t r = 0; r < oi->rows; ++r) {
-                for (std::size_t c = 0; c < oi->cols; ++c) {
-                  bi->grad[c] -= oi->gat(r, c);
-                }
-              }
-            }
-          }
-        },
-        [ai, bi, oi, kind]() { AddForward(ai, bi, oi, kind, -1.0f); });
-  }
-  return result;
-}
+Tensor Sub(const Tensor& a, const Tensor& b) { return AddOrSub(a, b, -1.0f); }
 
 namespace {
 
@@ -425,30 +422,44 @@ Tensor Mul(const Tensor& a, const Tensor& b) {
 namespace {
 
 // Shared scaffolding for elementwise unary ops:
-// out = fwd(x), dx += dout * dfn(x, y).
+// out = fwd(x), dx += dout * dfn(x, y). Both passes are partitioned by
+// element, each element computed exactly as the serial loop would.
+template <typename Fwd>
+void UnaryForward(const TensorImpl* ai, TensorImpl* oi, const Fwd& fwd) {
+  const float* x = ai->data.data();
+  float* y = oi->data.data();
+  kernels::ParallelRows(ai->data.size(), ai->data.size(),
+                        [&](std::size_t i0, std::size_t i1) {
+                          for (std::size_t i = i0; i < i1; ++i) {
+                            y[i] = fwd(x[i]);
+                          }
+                        });
+}
+
 template <typename Fwd, typename Dfn>
 Tensor UnaryOp(const Tensor& a, Fwd fwd, Dfn dfn) {
   auto out = NewNode(a.rows(), a.cols());
   TensorImpl* ai = a.impl().get();
   TensorImpl* oi = out.get();
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    out->data[i] = fwd(a.data()[i]);
-  }
+  UnaryForward(ai, oi, fwd);
   Tensor result(out);
   if (TrackGrad({&a})) {
     Attach(
         out, {&a},
         [ai, oi, dfn]() {
           if (!ai->requires_grad) return;
-          for (std::size_t i = 0; i < ai->grad.size(); ++i) {
-            ai->grad[i] += oi->grad[i] * dfn(ai->data[i], oi->data[i]);
-          }
+          const float* x = ai->data.data();
+          const float* y = oi->data.data();
+          const float* gy = oi->grad.data();
+          float* gx = ai->grad.data();
+          kernels::ParallelRows(ai->grad.size(), ai->grad.size(),
+                                [&](std::size_t i0, std::size_t i1) {
+                                  for (std::size_t i = i0; i < i1; ++i) {
+                                    gx[i] += gy[i] * dfn(x[i], y[i]);
+                                  }
+                                });
         },
-        [ai, oi, fwd]() {
-          for (std::size_t i = 0; i < ai->data.size(); ++i) {
-            oi->data[i] = fwd(ai->data[i]);
-          }
-        });
+        [ai, oi, fwd]() { UnaryForward(ai, oi, fwd); });
   }
   return result;
 }
@@ -469,12 +480,7 @@ Tensor AddScalar(const Tensor& a, float s) {
 
 Tensor Sigmoid(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float x) {
-        // Stable logistic.
-        return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-      },
+      a, [](float x) { return StableSigmoid(x); },
       [](float, float y) { return y * (1.0f - y); });
 }
 
@@ -514,15 +520,8 @@ Tensor Log(const Tensor& a) {
 
 Tensor Softplus(const Tensor& a) {
   return UnaryOp(
-      a,
-      [](float x) {
-        return x > 0.0f ? x + std::log1p(std::exp(-x))
-                        : std::log1p(std::exp(x));
-      },
-      [](float x, float) {
-        return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                         : std::exp(x) / (1.0f + std::exp(x));
-      });
+      a, [](float x) { return StableSoftplus(x); },
+      [](float x, float) { return StableSigmoid(x); });
 }
 
 Tensor Square(const Tensor& a) {
@@ -936,16 +935,225 @@ Tensor RowDot(const Tensor& a, const Tensor& b) {
 }
 
 // ---------------------------------------------------------------------------
-// Fused LSTM gate tail
+// Fused BCBT path log-probabilities
 // ---------------------------------------------------------------------------
 
 namespace {
 
-// Exactly the stable logistic UnaryOp's Sigmoid uses — bit-for-bit.
-inline float StableSigmoid(float x) {
-  return x >= 0.0f ? 1.0f / (1.0f + std::exp(-x))
-                   : std::exp(x) / (1.0f + std::exp(x));
+// Target number of backward work chunks over the feature rows. Chunks
+// only balance load; a row's accumulation order never depends on them.
+constexpr std::size_t kTreePathChunks = 64;
+
+// Index state of one TreePathLogProb node, shared by its forward, replay
+// and backward closures. A recorded graph keeps its indices, so it is
+// built once per op.
+struct TreePathIndex {
+  std::size_t item_rows = 0;
+  std::vector<std::size_t> row_offsets;  // CSR over q rows (rows + 1)
+  std::vector<std::size_t> chosen;       // D feature indices
+  std::vector<std::size_t> sibling;      // D feature indices
+  // The rest exists only when the op is taped.
+  std::vector<float> diff;                  // D: o_sib − o_ch, last forward
+  std::vector<std::uint32_t> decision_row;  // D: q row owning decision k
+  // Feature row f receives entries [feature_offsets[f],
+  // feature_offsets[f+1]) of feature_entries, in ascending decision
+  // order, each encoded 2k + 1 when f is decision k's sibling and 2k when
+  // it is the chosen child.
+  std::vector<std::size_t> feature_offsets;
+  std::vector<std::uint32_t> feature_entries;
+  // Feature-row bounds of the backward's chunks (~equal entry counts).
+  std::vector<std::size_t> chunk_bounds;
+
+  const float* Feature(const TensorImpl* item, const TensorImpl* node,
+                       std::size_t f, std::size_t dim) const {
+    return f < item_rows ? item->data.data() + f * dim
+                         : node->data.data() + (f - item_rows) * dim;
+  }
+};
+
+// Inverts chosen/sibling into per-feature-row contribution lists and
+// cuts the rows into load-balanced chunks.
+void BuildTreePathBackwardIndex(TreePathIndex* ix, std::size_t features) {
+  const std::size_t d = ix->chosen.size();
+  POISONREC_CHECK_LT(d, std::size_t{1} << 31)
+      << "TreePathLogProb: too many decisions for 32-bit entries";
+  ix->decision_row.resize(d);
+  for (std::size_t r = 0; r + 1 < ix->row_offsets.size(); ++r) {
+    for (std::size_t k = ix->row_offsets[r]; k < ix->row_offsets[r + 1];
+         ++k) {
+      ix->decision_row[k] = static_cast<std::uint32_t>(r);
+    }
+  }
+  ix->feature_offsets.assign(features + 1, 0);
+  for (std::size_t k = 0; k < d; ++k) {
+    ++ix->feature_offsets[ix->chosen[k] + 1];
+    ++ix->feature_offsets[ix->sibling[k] + 1];
+  }
+  for (std::size_t f = 0; f < features; ++f) {
+    ix->feature_offsets[f + 1] += ix->feature_offsets[f];
+  }
+  ix->feature_entries.resize(2 * d);
+  std::vector<std::size_t> fill(ix->feature_offsets.begin(),
+                                ix->feature_offsets.end() - 1);
+  for (std::size_t k = 0; k < d; ++k) {
+    const auto e = static_cast<std::uint32_t>(2 * k);
+    ix->feature_entries[fill[ix->chosen[k]]++] = e;
+    ix->feature_entries[fill[ix->sibling[k]]++] = e + 1;
+  }
+  const std::size_t target = std::max<std::size_t>(
+      1, (2 * d + kTreePathChunks - 1) / kTreePathChunks);
+  ix->chunk_bounds = {0};
+  std::size_t chunk_start = 0;  // first entry of the open chunk
+  for (std::size_t f = 0; f < features; ++f) {
+    if (ix->feature_offsets[f + 1] - chunk_start >= target) {
+      ix->chunk_bounds.push_back(f + 1);
+      chunk_start = ix->feature_offsets[f + 1];
+    }
+  }
+  if (ix->chunk_bounds.back() != features) {
+    ix->chunk_bounds.push_back(features);
+  }
 }
+
+// Row-parallel forward. Per decision it runs the unfused chain's exact
+// float sequence: RowDot's sequential dots, Sub, Softplus, Scale(−1).
+void TreePathForward(TreePathIndex* ix, const TensorImpl* qi,
+                     const TensorImpl* item, const TensorImpl* node,
+                     TensorImpl* oi) {
+  const std::size_t dim = qi->cols;
+  float* diff = ix->diff.empty() ? nullptr : ix->diff.data();
+  kernels::ParallelRows(
+      qi->rows, 2 * ix->chosen.size() * dim,
+      [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          const float* q = qi->data.data() + r * dim;
+          for (std::size_t k = ix->row_offsets[r]; k < ix->row_offsets[r + 1];
+               ++k) {
+            const float* ech = ix->Feature(item, node, ix->chosen[k], dim);
+            const float* esib = ix->Feature(item, node, ix->sibling[k], dim);
+            float o_ch = 0.0f;
+            float o_sib = 0.0f;
+            for (std::size_t c = 0; c < dim; ++c) o_ch += q[c] * ech[c];
+            for (std::size_t c = 0; c < dim; ++c) o_sib += q[c] * esib[c];
+            const float x = o_sib - o_ch;
+            if (diff != nullptr) diff[k] = x;
+            oi->data[k] = StableSoftplus(x) * -1.0f;
+          }
+        }
+      });
+}
+
+// d out/d x = −σ(x), taken through the unfused chain's Scale(−1) and
+// Softplus closures; the Sub then sends +g_x to the sibling's dot and
+// −g_x to the chosen child's. Pass 1 owns d q by row; pass 2 owns the
+// table gradients by destination feature row.
+void TreePathBackward(const TreePathIndex& ix, TensorImpl* qi,
+                      TensorImpl* item, TensorImpl* node,
+                      const TensorImpl* oi) {
+  const std::size_t dim = qi->cols;
+  const std::size_t d = ix.chosen.size();
+  std::vector<float> gdiff(d);
+  kernels::ParallelRows(
+      qi->rows, 2 * d * dim, [&](std::size_t r0, std::size_t r1) {
+        for (std::size_t r = r0; r < r1; ++r) {
+          float* gq = qi->requires_grad ? qi->grad.data() + r * dim : nullptr;
+          for (std::size_t k = ix.row_offsets[r]; k < ix.row_offsets[r + 1];
+               ++k) {
+            const float g = (oi->grad[k] * -1.0f) * StableSigmoid(ix.diff[k]);
+            gdiff[k] = g;
+            if (gq == nullptr) continue;
+            const float* ech = ix.Feature(item, node, ix.chosen[k], dim);
+            const float* esib = ix.Feature(item, node, ix.sibling[k], dim);
+            for (std::size_t c = 0; c < dim; ++c) gq[c] += g * esib[c];
+            for (std::size_t c = 0; c < dim; ++c) gq[c] += -g * ech[c];
+          }
+        }
+      });
+  if (!item->requires_grad && !node->requires_grad) return;
+  kernels::ParallelRows(
+      ix.chunk_bounds.size() - 1, 2 * d * dim,
+      [&](std::size_t c0, std::size_t c1) {
+        for (std::size_t f = ix.chunk_bounds[c0]; f < ix.chunk_bounds[c1];
+             ++f) {
+          TensorImpl* table = f < ix.item_rows ? item : node;
+          if (!table->requires_grad) continue;
+          const std::size_t row = f < ix.item_rows ? f : f - ix.item_rows;
+          float* dst = table->grad.data() + row * dim;
+          for (std::size_t e = ix.feature_offsets[f];
+               e < ix.feature_offsets[f + 1]; ++e) {
+            const std::uint32_t entry = ix.feature_entries[e];
+            const float g = (entry & 1u) != 0 ? gdiff[entry >> 1]
+                                              : -gdiff[entry >> 1];
+            const float* q =
+                qi->data.data() + ix.decision_row[entry >> 1] * dim;
+            for (std::size_t c = 0; c < dim; ++c) dst[c] += g * q[c];
+          }
+        }
+      });
+}
+
+}  // namespace
+
+Tensor TreePathLogProb(const Tensor& q, const Tensor& item_table,
+                       const Tensor& node_table,
+                       std::vector<std::size_t> row_offsets,
+                       std::vector<std::size_t> chosen,
+                       std::vector<std::size_t> sibling) {
+  const std::size_t dim = q.cols();
+  POISONREC_CHECK_EQ(item_table.cols(), dim);
+  POISONREC_CHECK_EQ(node_table.cols(), dim);
+  POISONREC_CHECK(item_table.impl() != node_table.impl())
+      << "TreePathLogProb: item and node tables must be distinct tensors";
+  POISONREC_CHECK_EQ(row_offsets.size(), q.rows() + 1);
+  POISONREC_CHECK_EQ(row_offsets.front(), 0u);
+  const std::size_t d = row_offsets.back();
+  POISONREC_CHECK_EQ(chosen.size(), d);
+  POISONREC_CHECK_EQ(sibling.size(), d);
+  for (std::size_t r = 0; r < q.rows(); ++r) {
+    POISONREC_CHECK_LE(row_offsets[r], row_offsets[r + 1]);
+  }
+  const std::size_t features = item_table.rows() + node_table.rows();
+  for (std::size_t k = 0; k < d; ++k) {
+    POISONREC_CHECK_LT(chosen[k], features);
+    POISONREC_CHECK_LT(sibling[k], features);
+  }
+
+  auto ix = std::make_shared<TreePathIndex>();
+  ix->item_rows = item_table.rows();
+  ix->row_offsets = std::move(row_offsets);
+  ix->chosen = std::move(chosen);
+  ix->sibling = std::move(sibling);
+  const bool track = TrackGrad({&q, &item_table, &node_table});
+  if (track) {
+    ix->diff.resize(d);
+    BuildTreePathBackwardIndex(ix.get(), features);
+  }
+
+  auto out = NewNode(d, 1);
+  TensorImpl* qi = q.impl().get();
+  TensorImpl* itemi = item_table.impl().get();
+  TensorImpl* nodei = node_table.impl().get();
+  TensorImpl* oi = out.get();
+  TreePathForward(ix.get(), qi, itemi, nodei, oi);
+  Tensor result(out);
+  if (track) {
+    Attach(
+        out, {&q, &item_table, &node_table},
+        [ix, qi, itemi, nodei, oi]() {
+          TreePathBackward(*ix, qi, itemi, nodei, oi);
+        },
+        [ix, qi, itemi, nodei, oi]() {
+          TreePathForward(ix.get(), qi, itemi, nodei, oi);
+        });
+  }
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Fused LSTM gate tail
+// ---------------------------------------------------------------------------
+
+namespace {
 
 // Forward for rows [r0, r1): activates the four gate blocks of `pre`
 // into `act`, then produces c = f·c_prev + i·g and h = o·tanh(c) in the

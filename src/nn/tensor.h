@@ -218,6 +218,29 @@ Tensor Rows(const Tensor& table, const std::vector<std::size_t>& indices);
 /// Row-wise dot product of equal-shaped matrices -> (m x 1).
 Tensor RowDot(const Tensor& a, const Tensor& b);
 
+/// Fused BCBT path log-probabilities (paper Eq. 9, Algorithm 2): one
+/// output per binary tree decision, log σ(q_r·e_chosen − q_r·e_sibling),
+/// as a (D x 1) column with D = row_offsets.back().
+///
+/// Decisions are grouped by row of `q` in CSR form: row r owns decisions
+/// [row_offsets[r], row_offsets[r+1]). `chosen[k]` and `sibling[k]` are
+/// feature indices into the virtual table [item_table; node_table]: an
+/// index below item_table.rows() reads the item table, any other index
+/// f reads node_table row f − item_table.rows().
+///
+/// The forward keeps the exact per-element float sequence of the
+/// unfused Rows/RowDot/Sub/Softplus/Scale chain, so log-probs are
+/// bitwise equal to it. Both passes follow the kernels' row-ownership
+/// contract: d q is owned by its row, and the table gradients are
+/// partitioned by destination table row, each applying its decisions in
+/// ascending order — so the bits are a pure function of the indices at
+/// every thread count.
+Tensor TreePathLogProb(const Tensor& q, const Tensor& item_table,
+                       const Tensor& node_table,
+                       std::vector<std::size_t> row_offsets,
+                       std::vector<std::size_t> chosen,
+                       std::vector<std::size_t> sibling);
+
 /// Fused LSTM cell tail: consumes the (B x 4h) pre-activation block
 /// `preact` (layout [i | f | g | o], the order module.cc produces) and
 /// the previous cell state `c_prev` (B x h), and returns the new hidden

@@ -6,8 +6,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 
 #include <gtest/gtest.h>
+
+#include "tree_path_oracle.h"
 
 namespace poisonrec::core {
 namespace {
@@ -116,6 +119,120 @@ INSTANTIATE_TEST_SUITE_P(
     Kinds, PolicyKindTest,
     ::testing::Values(ActionSpaceKind::kPlain, ActionSpaceKind::kBPlain,
                       ActionSpaceKind::kBcbtPopular,
+                      ActionSpaceKind::kBcbtRandom,
+                      ActionSpaceKind::kCbtUnbiased),
+    [](const auto& info) {
+      std::string name = ActionSpaceKindName(info.param);
+      name.erase(std::remove(name.begin(), name.end(), '-'), name.end());
+      return name;
+    });
+
+// Gradients of sum_k A[traj(k)] · log π(decision k) with respect to
+// every policy parameter, from zeroed buffers. `log_probs(b)` supplies
+// batch b's log-prob column for the batches RecomputeLogProbs built.
+std::vector<std::vector<float>> WeightedLogProbGrads(
+    const Policy& policy, const std::vector<DecisionBatch>& batches,
+    const std::vector<double>& advantages,
+    const std::function<nn::Tensor(std::size_t)>& log_probs) {
+  for (nn::Tensor p : policy.Parameters()) p.ZeroGrad();
+  nn::Tensor loss;
+  for (std::size_t b = 0; b < batches.size(); ++b) {
+    std::vector<float> weights;
+    for (std::size_t i : batches[b].traj_index) {
+      weights.push_back(static_cast<float>(advantages[i]));
+    }
+    const std::size_t k = weights.size();
+    nn::Tensor w = nn::Tensor::FromData(k, 1, std::move(weights));
+    nn::Tensor term = nn::Sum(nn::Mul(log_probs(b), w));
+    loss = loss.defined() ? nn::Add(loss, term) : term;
+  }
+  loss.Backward();
+  std::vector<std::vector<float>> grads;
+  for (const nn::Tensor& p : policy.Parameters()) grads.push_back(p.grad());
+  return grads;
+}
+
+// Non-vacuous check of the fused tree-path backward inside the policy:
+// random non-zero advantages (a saturated reward batch would give all-zero
+// Eq. 8 advantages and hide a wrong backward) weight the recomputed
+// log-probs, and every parameter gradient must match the one obtained by
+// running the unfused oracle chain on the same query rows.
+class TreePolicyOracleTest : public ::testing::TestWithParam<ActionSpaceKind> {
+};
+
+TEST_P(TreePolicyOracleTest, FusedGradientsMatchUnfusedChain) {
+  Policy policy = MakePolicy(GetParam());
+  const ActionTree* tree = policy.tree();
+  ASSERT_NE(tree, nullptr);
+  Rng rng(21);
+  std::vector<std::vector<SampledTrajectory>> episodes;
+  for (int e = 0; e < 3; ++e) {
+    episodes.push_back(policy.SampleEpisode(kT, &rng));
+  }
+  std::vector<const SampledTrajectory*> ptrs;
+  for (const auto& episode : episodes) {
+    for (const auto& t : episode) ptrs.push_back(&t);
+  }
+  std::vector<double> advantages;
+  for (std::size_t i = 0; i < ptrs.size(); ++i) {
+    const double magnitude = rng.Uniform(0.25, 1.5);
+    advantages.push_back(rng.Uniform() < 0.5 ? -magnitude : magnitude);
+  }
+
+  const std::vector<DecisionBatch> fused_batches =
+      policy.RecomputeLogProbs(ptrs);
+  ASSERT_EQ(fused_batches.size(), kT);  // one batch per timestep
+  const std::vector<std::vector<float>> fused = WeightedLogProbGrads(
+      policy, fused_batches, advantages,
+      [&](std::size_t b) { return fused_batches[b].new_log_probs; });
+
+  // A fresh graph; its fused nodes are left out of the loss. The oracle
+  // reads the same query rows and tables (the fused node's parents) and
+  // indexes them from the trajectories, independently of policy.cc.
+  const std::vector<DecisionBatch> batches = policy.RecomputeLogProbs(ptrs);
+  const std::vector<std::vector<float>> oracle = WeightedLogProbGrads(
+      policy, batches, advantages, [&](std::size_t t) {
+        const auto& parents = batches[t].new_log_probs.impl()->parents;
+        const nn::Tensor q(parents[0]);
+        const nn::Tensor item_table(parents[1]);
+        const nn::Tensor node_table(parents[2]);
+        EXPECT_EQ(item_table.impl(), policy.item_embeddings().impl());
+        const auto feature = [&](int node) -> std::size_t {
+          return tree->IsLeaf(node) ? tree->LeafItem(node)
+                                    : kItems + static_cast<std::size_t>(node);
+        };
+        std::vector<std::size_t> offsets = {0};
+        std::vector<std::size_t> chosen;
+        std::vector<std::size_t> sibling;
+        for (const SampledTrajectory* traj : ptrs) {
+          const std::vector<int>& path = traj->steps[t].path;
+          for (std::size_t d = 1; d < path.size(); ++d) {
+            chosen.push_back(feature(path[d]));
+            sibling.push_back(feature(tree->Sibling(path[d])));
+          }
+          offsets.push_back(chosen.size());
+        }
+        nn::Tensor lp = testing::UnfusedTreePathLogProb(
+            q, item_table, node_table, offsets, chosen, sibling);
+        EXPECT_EQ(lp.data(), batches[t].new_log_probs.data())
+            << "forward must be bitwise equal, timestep " << t;
+        return lp;
+      });
+
+  ASSERT_EQ(fused.size(), oracle.size());
+  for (std::size_t i = 0; i < fused.size(); ++i) {
+    double mass = 0.0;
+    for (float g : oracle[i]) mass += std::abs(g);
+    EXPECT_GT(mass, 0.0) << "parameter " << i << " receives no gradient";
+    EXPECT_LE(testing::MaxRelativeDeviation(fused[i], oracle[i]),
+              testing::kTreePathGradRelTol)
+        << ActionSpaceKindName(GetParam()) << " parameter " << i;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    TreeKinds, TreePolicyOracleTest,
+    ::testing::Values(ActionSpaceKind::kBcbtPopular,
                       ActionSpaceKind::kBcbtRandom,
                       ActionSpaceKind::kCbtUnbiased),
     [](const auto& info) {

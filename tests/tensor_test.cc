@@ -2,11 +2,16 @@
 // numerical differentiation for every op.
 #include "nn/tensor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <functional>
+#include <thread>
 
 #include <gtest/gtest.h>
 
+#include "nn/graph.h"
+#include "nn/kernels.h"
+#include "tree_path_oracle.h"
 #include "util/random.h"
 
 namespace poisonrec::nn {
@@ -369,6 +374,312 @@ TEST_P(MixedGraphGradTest, NumericalAgreement) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, MixedGraphGradTest,
                          ::testing::Range(1, 11));
+
+// ---------------------------------------------------------------------------
+// TreePathLogProb against the unfused oracle chain
+// ---------------------------------------------------------------------------
+
+// Kernel thread count for the invariance checks: the machine's, but at
+// least two so the threaded branch runs.
+std::size_t ManyThreads() {
+  return std::max<std::size_t>(2, std::thread::hardware_concurrency());
+}
+
+// Restores the process-wide kernel thread budget on scope exit.
+struct ThreadBudget {
+  explicit ThreadBudget(std::size_t n) { SetNumThreads(n); }
+  ~ThreadBudget() { SetNumThreads(0); }
+};
+
+struct TreePathCase {
+  Tensor q, item, node;
+  std::vector<std::size_t> row_offsets, chosen, sibling;
+  Tensor weights;  // (D x 1) loss weights, so every decision's grad differs
+};
+
+// Random decisions over `rows` query rows (0..max_depth each, some rows
+// empty). Feature indices are drawn from a small hot range half the time
+// so many decisions share table rows, as the top BCBT levels do.
+TreePathCase MakeTreePathCase(std::size_t rows, std::size_t dim,
+                              std::size_t item_rows, std::size_t node_rows,
+                              std::size_t max_depth, std::uint64_t seed) {
+  Rng rng(seed);
+  TreePathCase c;
+  c.q = Tensor::Randn(rows, dim, 0.5f, &rng, true);
+  c.item = Tensor::Randn(item_rows, dim, 0.5f, &rng, true);
+  c.node = Tensor::Randn(node_rows, dim, 0.5f, &rng, true);
+  const std::size_t features = item_rows + node_rows;
+  c.row_offsets.push_back(0);
+  for (std::size_t r = 0; r < rows; ++r) {
+    const std::size_t depth = rng.Index(max_depth + 1);
+    for (std::size_t d = 0; d < depth; ++d) {
+      const std::size_t range = rng.Uniform() < 0.5 ? 6 : features;
+      const std::size_t ch = rng.Index(range);
+      std::size_t sib = rng.Index(features - 1);
+      if (sib >= ch) ++sib;
+      c.chosen.push_back(ch);
+      c.sibling.push_back(sib);
+    }
+    c.row_offsets.push_back(c.chosen.size());
+  }
+  c.weights = Tensor::Randn(c.chosen.size(), 1, 1.0f, &rng);
+  return c;
+}
+
+Tensor FusedOn(const TreePathCase& c) {
+  return TreePathLogProb(c.q, c.item, c.node, c.row_offsets, c.chosen,
+                         c.sibling);
+}
+
+Tensor OracleOn(const TreePathCase& c) {
+  return testing::UnfusedTreePathLogProb(c.q, c.item, c.node, c.row_offsets,
+                                         c.chosen, c.sibling);
+}
+
+struct TreePathRun {
+  std::vector<float> out, dq, ditem, dnode;
+};
+
+// Forward + backward of sum(weights ⊙ op(c)), from zeroed gradients.
+TreePathRun RunTreePath(const TreePathCase& c,
+                        Tensor (*op)(const TreePathCase&)) {
+  c.q.impl()->grad.assign(c.q.size(), 0.0f);
+  c.item.impl()->grad.assign(c.item.size(), 0.0f);
+  c.node.impl()->grad.assign(c.node.size(), 0.0f);
+  Tensor out = op(c);
+  Sum(Mul(out, c.weights)).Backward();
+  return {out.data(), c.q.grad(), c.item.grad(), c.node.grad()};
+}
+
+TEST(TreePathLogProbTest, ForwardIsBitwiseEqualToUnfusedChain) {
+  const TreePathCase c = MakeTreePathCase(37, 8, 11, 9, 5, 101);
+  const Tensor fused = FusedOn(c);
+  const Tensor oracle = OracleOn(c);
+  ASSERT_EQ(fused.rows(), c.chosen.size());
+  ASSERT_EQ(fused.cols(), 1u);
+  EXPECT_EQ(fused.data(), oracle.data());
+  for (float v : fused.data()) EXPECT_LE(v, 0.0f);  // log-probabilities
+  NoGradScope no_grad;  // the untaped forward computes the same values
+  EXPECT_EQ(FusedOn(c).data(), oracle.data());
+}
+
+TEST(TreePathLogProbTest, GradientsMatchUnfusedChainWithinBound) {
+  const TreePathCase c = MakeTreePathCase(61, 8, 13, 12, 6, 102);
+  const TreePathRun fused = RunTreePath(c, FusedOn);
+  const TreePathRun oracle = RunTreePath(c, OracleOn);
+  EXPECT_EQ(fused.out, oracle.out);
+  EXPECT_LE(testing::MaxRelativeDeviation(fused.dq, oracle.dq),
+            testing::kTreePathGradRelTol);
+  EXPECT_LE(testing::MaxRelativeDeviation(fused.ditem, oracle.ditem),
+            testing::kTreePathGradRelTol);
+  EXPECT_LE(testing::MaxRelativeDeviation(fused.dnode, oracle.dnode),
+            testing::kTreePathGradRelTol);
+}
+
+TEST(TreePathLogProbTest, ThreadCountInvariantAboveParallelThreshold) {
+  // 2·D·dim multiply-adds well above the kernels' threading threshold.
+  const TreePathCase c = MakeTreePathCase(512, 16, 300, 299, 10, 103);
+  ASSERT_GT(2 * c.chosen.size() * 16, std::size_t{1} << 16);
+  TreePathRun one, many;
+  {
+    ThreadBudget budget(1);
+    one = RunTreePath(c, FusedOn);
+  }
+  {
+    ThreadBudget budget(ManyThreads());
+    many = RunTreePath(c, FusedOn);
+  }
+  EXPECT_EQ(one.out, many.out);
+  EXPECT_EQ(one.dq, many.dq);
+  EXPECT_EQ(one.ditem, many.ditem);
+  EXPECT_EQ(one.dnode, many.dnode);
+  // ...and the threaded run still agrees with the oracle.
+  const TreePathRun oracle = RunTreePath(c, OracleOn);
+  EXPECT_EQ(many.out, oracle.out);
+  EXPECT_LE(testing::MaxRelativeDeviation(many.dq, oracle.dq),
+            testing::kTreePathGradRelTol);
+  EXPECT_LE(testing::MaxRelativeDeviation(many.ditem, oracle.ditem),
+            testing::kTreePathGradRelTol);
+  EXPECT_LE(testing::MaxRelativeDeviation(many.dnode, oracle.dnode),
+            testing::kTreePathGradRelTol);
+}
+
+TEST(TreePathLogProbTest, GraphReplayMatchesFreshTape) {
+  TreePathCase c = MakeTreePathCase(300, 16, 40, 39, 8, 104);
+  GraphTape tape;
+  RecordedBackward backward;
+  Tensor out;
+  Tensor loss;
+  {
+    GraphTape::RecordScope record(&tape);
+    out = FusedOn(c);
+    loss = Sum(Mul(out, c.weights));
+  }
+  backward.Capture(loss);
+  // New leaf values, as after an optimizer step, then replay.
+  Rng rng(7);
+  for (Tensor* t : {&c.q, &c.item, &c.node}) {
+    for (float& v : t->mutable_data()) {
+      v += static_cast<float>(rng.Normal(0.0, 0.1));
+    }
+    t->impl()->grad.assign(t->size(), 0.0f);
+  }
+  tape.ReplayForward();
+  tape.ZeroGrads();
+  backward.Run(loss);
+  const TreePathRun replayed = {out.data(), c.q.grad(), c.item.grad(),
+                                c.node.grad()};
+  const TreePathRun fresh = RunTreePath(c, FusedOn);
+  EXPECT_EQ(replayed.out, fresh.out);
+  EXPECT_EQ(replayed.dq, fresh.dq);
+  EXPECT_EQ(replayed.ditem, fresh.ditem);
+  EXPECT_EQ(replayed.dnode, fresh.dnode);
+}
+
+TEST(TreePathLogProbTest, NumericalGradients) {
+  const TreePathCase c = MakeTreePathCase(5, 3, 4, 3, 3, 105);
+  ASSERT_FALSE(c.chosen.empty());
+  const auto graph_of = [&c](int which) {
+    return [&c, which](const Tensor& x) {
+      return Sum(Mul(TreePathLogProb(which == 0 ? x : c.q,
+                                     which == 1 ? x : c.item,
+                                     which == 2 ? x : c.node, c.row_offsets,
+                                     c.chosen, c.sibling),
+                     c.weights));
+    };
+  };
+  CheckGradient(c.q.DeepCopy(true), graph_of(0));
+  CheckGradient(c.item.DeepCopy(true), graph_of(1));
+  CheckGradient(c.node.DeepCopy(true), graph_of(2));
+}
+
+// ---------------------------------------------------------------------------
+// Threaded elementwise ops: thread-count invariance + serial reference
+// ---------------------------------------------------------------------------
+
+// 1024 x 48 = 49152 elements, above the kernels' threading threshold;
+// 48 columns give the bias gradient three column blocks.
+constexpr std::size_t kBigRows = 1024;
+constexpr std::size_t kBigCols = 48;
+
+struct ElementwiseRun {
+  std::vector<float> out, da, db;
+};
+
+// out = op(a, b); loss = sum(out ⊙ w), so d out = w exactly.
+ElementwiseRun RunBinary(Tensor (*op)(const Tensor&, const Tensor&),
+                         const Tensor& a, const Tensor& b, const Tensor& w) {
+  a.impl()->grad.assign(a.size(), 0.0f);
+  b.impl()->grad.assign(b.size(), 0.0f);
+  Tensor out = op(a, b);
+  Sum(Mul(out, w)).Backward();
+  return {out.data(), a.grad(), b.grad()};
+}
+
+// The pre-threading serial loops, written out.
+ElementwiseRun SerialBinary(float sign, const Tensor& a, const Tensor& b,
+                            const Tensor& w) {
+  const bool bias = b.rows() == 1 && a.rows() != 1;
+  ElementwiseRun ref;
+  ref.out.resize(a.size());
+  ref.da.assign(a.size(), 0.0f);
+  ref.db.assign(b.size(), 0.0f);
+  for (std::size_t r = 0; r < a.rows(); ++r) {
+    for (std::size_t c = 0; c < a.cols(); ++c) {
+      const std::size_t i = r * a.cols() + c;
+      const float bv = bias ? b.at(0, c) : b.at(r, c);
+      ref.out[i] = sign > 0.0f ? a.data()[i] + bv : a.data()[i] - bv;
+      ref.da[i] += w.data()[i];
+      float& db = bias ? ref.db[c] : ref.db[i];
+      if (sign > 0.0f) {
+        db += w.data()[i];
+      } else {
+        db -= w.data()[i];
+      }
+    }
+  }
+  return ref;
+}
+
+void ExpectBinaryThreadInvariant(Tensor (*op)(const Tensor&, const Tensor&),
+                                 float sign, std::size_t b_rows,
+                                 std::uint64_t seed) {
+  const Tensor a = RandomTensor(kBigRows, kBigCols, seed);
+  const Tensor b = RandomTensor(b_rows, kBigCols, seed + 1);
+  const Tensor w = RandomTensor(kBigRows, kBigCols, seed + 2, false);
+  ElementwiseRun one, many;
+  {
+    ThreadBudget budget(1);
+    one = RunBinary(op, a, b, w);
+  }
+  {
+    ThreadBudget budget(ManyThreads());
+    many = RunBinary(op, a, b, w);
+  }
+  const ElementwiseRun ref = SerialBinary(sign, a, b, w);
+  for (const ElementwiseRun* run : {&one, &many}) {
+    EXPECT_EQ(run->out, ref.out);
+    EXPECT_EQ(run->da, ref.da);
+    EXPECT_EQ(run->db, ref.db);
+  }
+}
+
+TEST(ThreadedElementwiseTest, AddSameShapeMatchesSerialAtEveryThreadCount) {
+  ExpectBinaryThreadInvariant(Add, 1.0f, kBigRows, 201);
+}
+
+TEST(ThreadedElementwiseTest, AddBiasMatchesSerialAtEveryThreadCount) {
+  ExpectBinaryThreadInvariant(Add, 1.0f, 1, 204);
+}
+
+TEST(ThreadedElementwiseTest, SubSameShapeMatchesSerialAtEveryThreadCount) {
+  ExpectBinaryThreadInvariant(Sub, -1.0f, kBigRows, 207);
+}
+
+TEST(ThreadedElementwiseTest, SubBiasMatchesSerialAtEveryThreadCount) {
+  ExpectBinaryThreadInvariant(Sub, -1.0f, 1, 210);
+}
+
+TEST(ThreadedElementwiseTest, UnaryOpsMatchSerialAtEveryThreadCount) {
+  const Tensor x = RandomTensor(kBigRows, kBigCols, 213);
+  const Tensor w = RandomTensor(kBigRows, kBigCols, 214, false);
+  struct Case {
+    Tensor (*op)(const Tensor&);
+    float (*fwd)(float);
+    float (*dfn)(float x, float y);
+  };
+  const Case cases[] = {
+      {Softplus,
+       [](float v) {
+         return v > 0.0f ? v + std::log1p(std::exp(-v))
+                         : std::log1p(std::exp(v));
+       },
+       [](float v, float) {
+         return v >= 0.0f ? 1.0f / (1.0f + std::exp(-v))
+                          : std::exp(v) / (1.0f + std::exp(v));
+       }},
+      {Relu, [](float v) { return v > 0.0f ? v : 0.0f; },
+       [](float v, float) { return v > 0.0f ? 1.0f : 0.0f; }},
+      {Exp, [](float v) { return std::exp(v); },
+       [](float, float y) { return y; }},
+  };
+  for (const Case& k : cases) {
+    std::vector<float> ref_out(x.size());
+    std::vector<float> ref_dx(x.size(), 0.0f);
+    for (std::size_t i = 0; i < x.size(); ++i) {
+      ref_out[i] = k.fwd(x.data()[i]);
+      ref_dx[i] += w.data()[i] * k.dfn(x.data()[i], ref_out[i]);
+    }
+    for (std::size_t threads : {std::size_t{1}, ManyThreads()}) {
+      ThreadBudget budget(threads);
+      x.impl()->grad.assign(x.size(), 0.0f);
+      Tensor out = k.op(x);
+      Sum(Mul(out, w)).Backward();
+      EXPECT_EQ(out.data(), ref_out) << threads << " threads";
+      EXPECT_EQ(x.grad(), ref_dx) << threads << " threads";
+    }
+  }
+}
 
 }  // namespace
 }  // namespace poisonrec::nn

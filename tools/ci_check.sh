@@ -380,9 +380,9 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 # TSan leg: the fleet scheduler, watchdog, journal, and lease paths are
 # intentionally multi-threaded control paths, and the attacker engine
 # runs parallel episode sampling and reward queries over row-partitioned
-# kernels and threaded sparse matmuls; run their tests under
-# ThreadSanitizer (incompatible with ASan, hence the separate build
-# tree).
+# kernels, threaded elementwise ops, the fused tree-path log-prob op and
+# threaded sparse matmuls; run their tests under ThreadSanitizer
+# (incompatible with ASan, hence the separate build tree).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
@@ -390,7 +390,7 @@ cmake -B "${TSAN_DIR}" -S . \
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
-           batched_engine_test
+           batched_engine_test tensor_test policy_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -399,5 +399,7 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/status_test"
 "${TSAN_DIR}/tests/fleet_status_test"
 "${TSAN_DIR}/tests/batched_engine_test"
+"${TSAN_DIR}/tests/tensor_test"
+"${TSAN_DIR}/tests/policy_test"
 
 echo "ci_check: OK"
