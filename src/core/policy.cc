@@ -305,7 +305,15 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
   }
 
   std::vector<nn::Tensor> hs = HiddenStates(attacker_ids, sequences, T);
-  std::vector<DecisionBatch> batches;
+  // Each timestep scores its decisions into its own column; the columns
+  // are joined once at the end, so the update backpropagates from one
+  // root.
+  DecisionBatch batch;
+  std::vector<nn::Tensor> columns;
+  const auto add_decision = [&batch](double old_log_prob, std::size_t row) {
+    batch.old_log_probs.push_back(old_log_prob);
+    batch.traj_index.push_back(row);
+  };
 
   for (std::size_t t = 0; t < T; ++t) {
     nn::Tensor dht = dnn_.Forward(hs[t]);  // (rows x dim)
@@ -315,15 +323,11 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
             nn::MatMul(dht, nn::Transpose(item_emb_.table()));
         nn::Tensor logp = nn::LogSoftmax(scores);
         nn::Tensor onehot = nn::Tensor::Zeros(rows, num_items_);
-        DecisionBatch batch;
         for (std::size_t r = 0; r < rows; ++r) {
           onehot.set(r, trajectories[r]->steps[t].item, 1.0f);
-          batch.old_log_probs.push_back(
-              trajectories[r]->steps[t].old_log_probs[0]);
-          batch.traj_index.push_back(r);
+          add_decision(trajectories[r]->steps[t].old_log_probs[0], r);
         }
-        batch.new_log_probs = nn::RowSum(nn::Mul(logp, onehot));
-        batches.push_back(std::move(batch));
+        columns.push_back(nn::RowSum(nn::Mul(logp, onehot)));
         break;
       }
       case ActionSpaceKind::kBPlain: {
@@ -331,34 +335,30 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
         nn::Tensor root_scores = nn::MatMul(dht, nn::Transpose(set_emb_));
         nn::Tensor root_logp = nn::LogSoftmax(root_scores);
         nn::Tensor root_onehot = nn::Tensor::Zeros(rows, 2);
-        DecisionBatch root_batch;
         // In-set decision: full item scores with out-of-set logits masked.
         nn::Tensor scores =
             nn::MatMul(dht, nn::Transpose(item_emb_.table()));
         nn::Tensor mask = nn::Tensor::Zeros(rows, num_items_);
         nn::Tensor item_onehot = nn::Tensor::Zeros(rows, num_items_);
-        DecisionBatch item_batch;
         for (std::size_t r = 0; r < rows; ++r) {
           const SampledStep& step = trajectories[r]->steps[t];
           const int set_choice = step.path[0];
           root_onehot.set(r, static_cast<std::size_t>(set_choice), 1.0f);
-          root_batch.old_log_probs.push_back(step.old_log_probs[0]);
-          root_batch.traj_index.push_back(r);
+          add_decision(step.old_log_probs[0], r);
           const bool targets_chosen = set_choice == 0;
           for (std::size_t j = 0; j < num_items_; ++j) {
             const bool in_set = (is_target_[j] != 0) == targets_chosen;
             if (!in_set) mask.set(r, j, -1e9f);
           }
           item_onehot.set(r, step.item, 1.0f);
-          item_batch.old_log_probs.push_back(step.old_log_probs[1]);
-          item_batch.traj_index.push_back(r);
         }
-        root_batch.new_log_probs =
-            nn::RowSum(nn::Mul(root_logp, root_onehot));
-        batches.push_back(std::move(root_batch));
+        // Set choices first, then in-set items, as in the column below.
+        for (std::size_t r = 0; r < rows; ++r) {
+          add_decision(trajectories[r]->steps[t].old_log_probs[1], r);
+        }
+        columns.push_back(nn::RowSum(nn::Mul(root_logp, root_onehot)));
         nn::Tensor logp = nn::LogSoftmax(nn::Add(scores, mask));
-        item_batch.new_log_probs = nn::RowSum(nn::Mul(logp, item_onehot));
-        batches.push_back(std::move(item_batch));
+        columns.push_back(nn::RowSum(nn::Mul(logp, item_onehot)));
         break;
       }
       case ActionSpaceKind::kBcbtPopular:
@@ -369,26 +369,26 @@ std::vector<DecisionBatch> Policy::RecomputeLogProbs(
         std::vector<std::size_t> row_offsets(rows + 1, 0);
         std::vector<std::size_t> chosen_rows;
         std::vector<std::size_t> sibling_rows;
-        DecisionBatch batch;
         for (std::size_t r = 0; r < rows; ++r) {
           const SampledStep& step = trajectories[r]->steps[t];
           for (std::size_t d = 0; d + 1 < step.path.size(); ++d) {
             const int chosen = step.path[d + 1];
             chosen_rows.push_back(NodeFeatureRow(chosen));
             sibling_rows.push_back(NodeFeatureRow(tree_->Sibling(chosen)));
-            batch.old_log_probs.push_back(step.old_log_probs[d]);
-            batch.traj_index.push_back(r);
+            add_decision(step.old_log_probs[d], r);
           }
           row_offsets[r + 1] = chosen_rows.size();
         }
-        batch.new_log_probs = nn::TreePathLogProb(
+        columns.push_back(nn::TreePathLogProb(
             dht, item_emb_.table(), node_emb_, std::move(row_offsets),
-            std::move(chosen_rows), std::move(sibling_rows));
-        batches.push_back(std::move(batch));
+            std::move(chosen_rows), std::move(sibling_rows)));
         break;
       }
     }
   }
+  batch.new_log_probs = nn::ConcatRows(columns);
+  std::vector<DecisionBatch> batches;
+  batches.push_back(std::move(batch));
   return batches;
 }
 

@@ -47,11 +47,13 @@ struct PolicyConfig {
 
 /// A batch of decisions recomputed under current parameters (for the PPO
 /// ratio). Row k corresponds to trajectory `traj_index[k]` and has stored
-/// old log-prob `old_log_probs[k]`. RecomputeLogProbs emits, per
-/// timestep, one batch for Plain, two for BPlain (set choice, then item)
-/// and one for the tree designs: every BCBT level of every row's path,
-/// row-major (row r's root decision first), each level scored as its own
-/// Eq. 9 decision by one nn::TreePathLogProb op.
+/// old log-prob `old_log_probs[k]`. RecomputeLogProbs emits one batch
+/// whose column joins the per-timestep columns with nn::ConcatRows, in
+/// timestep order. Per timestep: one decision per row for Plain; for
+/// BPlain every row's set choice, then every row's in-set item; for the
+/// tree designs every BCBT level of every row's path, row-major (row r's
+/// root decision first), each level scored as its own Eq. 9 decision by
+/// one nn::TreePathLogProb op.
 struct DecisionBatch {
   nn::Tensor new_log_probs;            // (K x 1), differentiable
   std::vector<double> old_log_probs;   // K
@@ -82,8 +84,9 @@ class Policy {
 
   /// Recomputes every decision's log-prob for PPO (Eq. 7/9) as one
   /// (rows x dim) recurrence over all trajectories, which must share the
-  /// same length. Under an nn::GraphTape recording the PPO update
-  /// replays this graph for epochs 1..K-1 (core/ppo.cc).
+  /// same length. Returns exactly one DecisionBatch. Under an
+  /// nn::GraphTape recording the PPO update replays this graph for
+  /// epochs 1..K-1 (core/ppo.cc).
   std::vector<DecisionBatch> RecomputeLogProbs(
       const std::vector<const SampledTrajectory*>& trajectories) const;
 

@@ -57,6 +57,7 @@ namespace {
 // kInvalidArgument rather than being misparsed.
 constexpr std::uint32_t kCheckpointMagic = 0x5052434bu;  // "PRCK"
 constexpr std::uint32_t kCheckpointVersion = 4;
+constexpr std::size_t kCheckpointHeaderBytes = 2 * sizeof(std::uint32_t);
 constexpr std::uint64_t kDeadSlotTag = ~0ull;
 
 void WriteU64(std::ostream& out, std::uint64_t v) {
@@ -92,30 +93,19 @@ bool ReadFloats(std::istream& in, std::vector<float>* v) {
 
 // One TrainStep's recorded update graph. The K epochs of a step
 // recompute the exact same ops over the exact same trajectories: between
-// epochs only the parameters change (advanced by Adam) plus the
-// host-recomputed clip masks that depend on them. So epoch 0 records the
-// two differentiable forwards on tapes — the log-prob recompute and the
-// surrogate loss, with the host-side mask pass sitting between them —
-// and captures the backward schedule; epochs 1..K-1 replay all three
-// instead of re-flattening, re-taping, and re-walking the graph. Valid
-// only while the batch is the full episode set (a resampled batch
-// changes the graph), which TrainStep checks before constructing one.
+// epochs only the parameters change (advanced by Adam). So epoch 0
+// records the log-prob recompute on a tape and epochs 1..K-1 replay it
+// instead of re-flattening and re-taping; the surrogate on top of it is
+// host arithmetic (ClippedSurrogate). Valid only while the batch is the
+// full episode set (a resampled batch changes the graph), which
+// TrainStep checks before constructing one.
 struct PpoUpdateGraph {
   bool built = false;
   // Flattened batch, fixed for the step.
   std::vector<const SampledTrajectory*> trajs;
   std::vector<double> traj_advantage;
-  // Forward tapes: policy log-prob recompute, then the clipped
-  // surrogate. Replay order matters — masks are derived from the
-  // recomputed log-probs before the loss tape runs.
   nn::GraphTape recompute_tape;
-  nn::GraphTape loss_tape;
-  nn::RecordedBackward backward;
-  std::vector<DecisionBatch> decisions;
-  // The clip masks are the only loss-graph leaves that change between
-  // epochs; their data is overwritten in place before replaying.
-  std::vector<nn::Tensor> adv_masks;
-  nn::Tensor loss;
+  DecisionBatch decisions;
 };
 
 PoisonRecAttacker::PoisonRecAttacker(const env::AttackEnvironment* environment,
@@ -399,146 +389,99 @@ bool PoisonRecAttacker::SweepPostStep(TrainStepStats* stats) {
   return true;
 }
 
-nn::Tensor PoisonRecAttacker::PpoLoss(
-    const std::vector<const Episode*>& batch, double* loss_value,
-    PpoDiagnostics* diagnostics, PpoUpdateGraph* graph) {
-  const bool replay = graph != nullptr && graph->built;
-
-  std::vector<const SampledTrajectory*> local_trajs;
-  std::vector<double> local_adv;
-  std::vector<DecisionBatch> local_decisions;
-  if (!replay) {
-    // Eq. 8: normalize rewards within the batch. Imputed (unobserved)
-    // rewards are excluded from the statistics and get zero advantage.
-    std::vector<double> advantages(batch.size());
-    std::vector<char> observed(batch.size());
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      advantages[i] = batch[i]->reward;
-      observed[i] = batch[i]->reward_observed ? 1 : 0;
+SurrogateResult ClippedSurrogate(const DecisionBatch& decisions,
+                                 const std::vector<double>& traj_advantage,
+                                 float clip_epsilon) {
+  // Eq. 7/9: obj = min(r*A, clip(r, 1±ε)*A). The min either selects the
+  // ratio term, whose gradient in log π_new is r*A, or a clipped
+  // constant with zero gradient.
+  const std::size_t n = decisions.new_log_probs.rows();
+  POISONREC_CHECK_GT(n, 0u);
+  POISONREC_CHECK_EQ(decisions.old_log_probs.size(), n);
+  POISONREC_CHECK_EQ(decisions.traj_index.size(), n);
+  const double eps = static_cast<double>(clip_epsilon);
+  const double d = static_cast<double>(n);
+  const std::vector<float>& new_log_probs = decisions.new_log_probs.data();
+  SurrogateResult result;
+  result.seed.assign(n, 0.0f);
+  double objective = 0.0;
+  double neg_logp_sum = 0.0;
+  double kl_sum = 0.0;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double adv = traj_advantage[decisions.traj_index[k]];
+    const double new_lp = static_cast<double>(new_log_probs[k]);
+    const double old_lp = decisions.old_log_probs[k];
+    if (!std::isfinite(new_lp)) ++result.non_finite_log_probs;
+    neg_logp_sum -= new_lp;
+    kl_sum += old_lp - new_lp;
+    const double r = std::exp(new_lp - old_lp);
+    const bool unclipped = adv >= 0.0 ? r <= 1.0 + eps : r >= 1.0 - eps;
+    if (unclipped) {
+      objective += r * adv;
+      result.seed[k] = static_cast<float>(-r * adv / d);
+    } else {
+      objective += std::clamp(r, 1.0 - eps, 1.0 + eps) * adv;
     }
-    NormalizeRewards(&advantages, observed);
+  }
+  result.loss = -objective / d;
+  result.entropy = neg_logp_sum / d;
+  result.approx_kl = kl_sum / d;
+  return result;
+}
 
-    // Flatten trajectories; every decision inherits its episode's
-    // advantage. Dead slots (drained account pool) are excluded: their
-    // trajectories were never injected, so Eq. 7/9 renormalizes over the
-    // surviving fleet's decisions.
-    for (std::size_t i = 0; i < batch.size(); ++i) {
-      for (const SampledTrajectory& t : batch[i]->trajectories) {
-        if (pool_ != nullptr && !pool_->IsLive(t.attacker_index)) continue;
-        local_trajs.push_back(&t);
-        local_adv.push_back(advantages[i]);
-      }
-    }
-
-    // With a graph, record the recompute forward so later epochs replay
-    // it against the parameters Adam advanced, instead of re-taping it.
-    std::optional<nn::GraphTape::RecordScope> record;
-    if (graph != nullptr) record.emplace(&graph->recompute_tape);
-    local_decisions = policy_->RecomputeLogProbs(local_trajs);
-  } else {
+SurrogateResult PoisonRecAttacker::PpoSurrogate(
+    const std::vector<const Episode*>& batch, PpoUpdateGraph* graph,
+    nn::Tensor* new_log_probs) {
+  if (graph != nullptr && graph->built) {
     // Same trajectories, new parameters: recompute every decision's
     // log-prob by replaying the recorded nodes in creation order —
     // numerically identical to RecomputeLogProbs from scratch.
     graph->recompute_tape.ReplayForward();
-  }
-  const std::vector<DecisionBatch>& decisions =
-      replay ? graph->decisions : local_decisions;
-  const std::vector<double>& traj_advantage =
-      replay ? graph->traj_advantage : local_adv;
-
-  // Clipped surrogate (Eq. 7/9): obj = min(r*A, clip(r,1±ε)*A). The min
-  // either selects the ratio term (gradient flows) or a clipped constant
-  // (gradient zero); we encode that with a forward-computed mask. The
-  // mask pass is host-side and runs every epoch (it depends on the fresh
-  // log-probs); only the graph around it is reused.
-  const float eps = config_.clip_epsilon;
-  std::size_t n_decisions = 0;
-  double const_part = 0.0;  // sum of clipped (constant) objective terms
-  double neg_logp_sum = 0.0;  // -log pi(a|s): sampled-entropy estimate
-  double kl_sum = 0.0;        // log pi_old - log pi_new: approx KL
-  std::vector<std::vector<float>> masks(decisions.size());
-  for (std::size_t b = 0; b < decisions.size(); ++b) {
-    const DecisionBatch& batch_k = decisions[b];
-    const std::size_t k = batch_k.new_log_probs.rows();
-    n_decisions += k;
-    masks[b].resize(k);
-    for (std::size_t i = 0; i < k; ++i) {
-      const double adv = traj_advantage[batch_k.traj_index[i]];
-      const double new_lp =
-          static_cast<double>(batch_k.new_log_probs.at(i, 0));
-      if (diagnostics != nullptr) {
-        if (!std::isfinite(new_lp)) ++diagnostics->non_finite_log_probs;
-        neg_logp_sum -= new_lp;
-        kl_sum += batch_k.old_log_probs[i] - new_lp;
-      }
-      const double r = std::exp(new_lp - batch_k.old_log_probs[i]);
-      bool unclipped;
-      if (adv >= 0.0) {
-        unclipped = r <= 1.0 + eps;
-      } else {
-        unclipped = r >= 1.0 - eps;
-      }
-      if (unclipped) {
-        masks[b][i] = static_cast<float>(adv);
-      } else {
-        masks[b][i] = 0.0f;
-        const double clipped_r =
-            std::clamp(r, 1.0 - static_cast<double>(eps),
-                       1.0 + static_cast<double>(eps));
-        const_part += clipped_r * adv;
-      }
-    }
-  }
-  POISONREC_CHECK_GT(n_decisions, 0u);
-  if (diagnostics != nullptr) {
-    diagnostics->entropy =
-        neg_logp_sum / static_cast<double>(n_decisions);
-    diagnostics->approx_kl = kl_sum / static_cast<double>(n_decisions);
+    *new_log_probs = graph->decisions.new_log_probs;
+    return ClippedSurrogate(graph->decisions, graph->traj_advantage,
+                            config_.clip_epsilon);
   }
 
-  nn::Tensor loss;
-  if (!replay) {
-    std::optional<nn::GraphTape::RecordScope> record;
-    if (graph != nullptr) record.emplace(&graph->loss_tape);
-    nn::Tensor total;  // scalar accumulator of sum(obj)
-    for (std::size_t b = 0; b < decisions.size(); ++b) {
-      const DecisionBatch& batch_k = decisions[b];
-      const std::size_t k = batch_k.new_log_probs.rows();
-      std::vector<float> old_vals(k);
-      for (std::size_t i = 0; i < k; ++i) {
-        old_vals[i] = static_cast<float>(batch_k.old_log_probs[i]);
-      }
-      nn::Tensor old_t = nn::Tensor::FromData(k, 1, std::move(old_vals));
-      nn::Tensor am_t = nn::Tensor::FromData(k, 1, std::move(masks[b]));
-      if (graph != nullptr) graph->adv_masks.push_back(am_t);
-      nn::Tensor ratio = nn::Exp(nn::Sub(batch_k.new_log_probs, old_t));
-      nn::Tensor obj = nn::Sum(nn::Mul(ratio, am_t));
-      total = total.defined() ? nn::Add(total, obj) : obj;
-    }
-    // loss = -(1/D) * (sum_masked + const_part)
-    loss = nn::Scale(total, -1.0f / static_cast<float>(n_decisions));
-    if (graph != nullptr) {
-      graph->trajs = std::move(local_trajs);
-      graph->traj_advantage = std::move(local_adv);
-      graph->decisions = std::move(local_decisions);
-      graph->loss = loss;
-      graph->built = true;
-    }
-  } else {
-    // Feed this epoch's masks into the recorded loss graph (the masks
-    // are its only changing leaves — the Mul closures read the leaf's
-    // data through the impl at call time) and replay it.
-    for (std::size_t b = 0; b < graph->adv_masks.size(); ++b) {
-      graph->adv_masks[b].mutable_data() = std::move(masks[b]);
-    }
-    graph->loss_tape.ReplayForward();
-    loss = graph->loss;
+  // Eq. 8: normalize rewards within the batch. Imputed (unobserved)
+  // rewards are excluded from the statistics and get zero advantage.
+  std::vector<double> advantages(batch.size());
+  std::vector<char> observed(batch.size());
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    advantages[i] = batch[i]->reward;
+    observed[i] = batch[i]->reward_observed ? 1 : 0;
   }
-  if (loss_value != nullptr) {
-    *loss_value = loss.item() -
-                  const_part / static_cast<double>(n_decisions);
+  NormalizeRewards(&advantages, observed);
+
+  // Flatten trajectories; every decision inherits its episode's
+  // advantage. Dead slots (drained account pool) are excluded: their
+  // trajectories were never injected, so Eq. 7/9 renormalizes over the
+  // surviving fleet's decisions.
+  std::vector<const SampledTrajectory*> trajs;
+  std::vector<double> traj_advantage;
+  for (std::size_t i = 0; i < batch.size(); ++i) {
+    for (const SampledTrajectory& t : batch[i]->trajectories) {
+      if (pool_ != nullptr && !pool_->IsLive(t.attacker_index)) continue;
+      trajs.push_back(&t);
+      traj_advantage.push_back(advantages[i]);
+    }
   }
-  return loss;
+
+  // With a graph, record the recompute so later epochs replay it against
+  // the parameters Adam advanced, instead of re-taping it.
+  std::optional<nn::GraphTape::RecordScope> record;
+  if (graph != nullptr) record.emplace(&graph->recompute_tape);
+  DecisionBatch decisions = std::move(policy_->RecomputeLogProbs(trajs)[0]);
+  record.reset();
+  *new_log_probs = decisions.new_log_probs;
+  SurrogateResult result =
+      ClippedSurrogate(decisions, traj_advantage, config_.clip_epsilon);
+  if (graph != nullptr) {
+    graph->trajs = std::move(trajs);
+    graph->traj_advantage = std::move(traj_advantage);
+    graph->decisions = std::move(decisions);
+    graph->built = true;
+  }
+  return result;
 }
 
 TrainStepStats PoisonRecAttacker::TrainStep() {
@@ -749,59 +692,51 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
           episodes.size(), config_.batch_size);
       for (std::size_t p : picks) batch.push_back(&episodes[p]);
     }
-    double loss_value = 0.0;
-    PpoDiagnostics diag;
-    nn::Tensor loss = PpoLoss(batch, &loss_value, &diag,
-                              update_graph ? &*update_graph : nullptr);
-    entropy_sum += diag.entropy;
-    kl_sum += diag.approx_kl;
+    nn::Tensor new_log_probs;
+    const SurrogateResult surrogate = PpoSurrogate(
+        batch, update_graph ? &*update_graph : nullptr, &new_log_probs);
+    entropy_sum += surrogate.entropy;
+    kl_sum += surrogate.approx_kl;
     ++diag_epochs;
 
     // Guard monitors on the Eq. 7/9 surrogate, checked before backward
     // so a divergent epoch never produces a gradient.
     if (guard.enabled) {
       const std::string where = "epoch " + std::to_string(epoch);
-      if (diag.non_finite_log_probs > 0) {
+      if (surrogate.non_finite_log_probs > 0) {
         RecordGuardEvent(&stats, GuardEventKind::kNonFiniteLogit,
                          std::numeric_limits<double>::quiet_NaN(), 0.0,
-                         std::to_string(diag.non_finite_log_probs) +
+                         std::to_string(surrogate.non_finite_log_probs) +
                              " decision log-probs, " + where);
         break;
       }
-      if (!std::isfinite(loss_value)) {
+      if (!std::isfinite(surrogate.loss)) {
         RecordGuardEvent(&stats, GuardEventKind::kNonFiniteLoss,
-                         loss_value, 0.0, where);
+                         surrogate.loss, 0.0, where);
         break;
       }
-      if (guard.entropy_floor > 0.0 && diag.entropy < guard.entropy_floor) {
+      if (guard.entropy_floor > 0.0 &&
+          surrogate.entropy < guard.entropy_floor) {
         RecordGuardEvent(&stats, GuardEventKind::kEntropyCollapse,
-                         diag.entropy, guard.entropy_floor, where);
+                         surrogate.entropy, guard.entropy_floor, where);
         break;
       }
       if (guard.approx_kl_threshold > 0.0 &&
-          diag.approx_kl > guard.approx_kl_threshold) {
+          surrogate.approx_kl > guard.approx_kl_threshold) {
         RecordGuardEvent(&stats, GuardEventKind::kKlDivergence,
-                         diag.approx_kl, guard.approx_kl_threshold, where);
+                         surrogate.approx_kl, guard.approx_kl_threshold,
+                         where);
         break;
       }
     }
 
     optimizer_->ZeroGrad();
-    if (update_graph) {
-      // First epoch: freeze the backward schedule (the exact closure
-      // order Tensor::Backward would run). Every epoch: zero the
-      // recorded nodes' grads — fresh tapes get that for free from node
-      // construction — then run the frozen schedule. Same closures, same
-      // order, same float accumulation as loss.Backward().
-      if (!update_graph->backward.captured()) {
-        update_graph->backward.Capture(loss);
-      }
-      update_graph->recompute_tape.ZeroGrads();
-      update_graph->loss_tape.ZeroGrads();
-      update_graph->backward.Run(loss);
-    } else {
-      loss.Backward();
-    }
+    // A replayed graph still holds the previous epoch's gradients in its
+    // recorded nodes (a fresh tape starts zeroed). Backward from the
+    // log-prob column walks the same order on either, so replay
+    // accumulates the same floats in the same sequence.
+    if (update_graph) update_graph->recompute_tape.ZeroGrads();
+    new_log_probs.Backward(surrogate.seed);
     const double pre_clip =
         static_cast<double>(nn::GradNorm(optimizer_->parameters()));
     stats.pre_clip_grad_norm = std::max(stats.pre_clip_grad_norm, pre_clip);
@@ -824,7 +759,7 @@ TrainStepStats PoisonRecAttacker::TrainStep() {
       nn::ClipGradNorm(optimizer_->parameters(), config_.max_grad_norm);
     }
     optimizer_->Step();
-    loss_sum += loss_value;
+    loss_sum += surrogate.loss;
     ++completed_epochs;
   }
   // Post-update sweep once per step rather than per epoch: corruption
@@ -958,6 +893,48 @@ GuardedTrainResult PoisonRecAttacker::TrainGuarded(
   return result;
 }
 
+Status VerifyCheckpointFraming(std::string_view bytes,
+                               const std::string& path,
+                               std::size_t* payload_size,
+                               FileIntegrity* integrity) {
+  FileIntegrity local = FileIntegrity::kOk;
+  if (integrity == nullptr) integrity = &local;
+  std::uint32_t header[2] = {0, 0};
+  if (bytes.size() < kCheckpointHeaderBytes) {
+    // Zero-length or short file: the writer (or the filesystem, after a
+    // crash without the fsync path) lost the payload.
+    *integrity = FileIntegrity::kTorn;
+    return Status::DataLoss(path +
+                            ": shorter than the checkpoint header (torn "
+                            "publish)");
+  }
+  std::memcpy(header, bytes.data(), kCheckpointHeaderBytes);
+  *integrity = FileIntegrity::kCorrupt;
+  if (header[0] != kCheckpointMagic) {
+    return Status::InvalidArgument(path +
+                                   ": not a PoisonRec attacker checkpoint");
+  }
+  if (header[1] != kCheckpointVersion) {
+    std::string hint;
+    if (header[1] < kCheckpointVersion) {
+      hint = " (version " + std::to_string(header[1]) +
+             " predates the v" + std::to_string(kCheckpointVersion) +
+             " format's per-episode sampling streams and whole-file "
+             "checksum; re-run the campaign to produce a current "
+             "checkpoint)";
+    }
+    return Status::InvalidArgument(path +
+                                   ": unsupported attacker checkpoint "
+                                   "version " +
+                                   std::to_string(header[1]) + hint);
+  }
+  // The header names a current checkpoint — now the integrity footer
+  // decides whether the rest of the bytes can be trusted: a length
+  // mismatch or missing footer is a torn publish, a CRC mismatch is bit
+  // rot. Both are kDataLoss (lost state), never misparsed.
+  return VerifyIntegrityFooter(bytes, path, payload_size, integrity);
+}
+
 Status PoisonRecAttacker::SaveCheckpoint(const std::string& path) const {
   POISONREC_TRACE_SPAN("ppo/checkpoint_save");
   const Status status = [&]() -> Status {
@@ -1050,39 +1027,10 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   StatusOr<std::string> bytes_or = ReadFileBytes(path);
   if (!bytes_or.ok()) return Status::IoError("cannot open " + path);
   const std::string& bytes = *bytes_or;
-  std::uint32_t header[2] = {0, 0};
-  if (bytes.size() < sizeof(header)) {
-    // Zero-length or short file: the writer (or the filesystem, after a
-    // crash without the fsync path) lost the payload.
-    return Status::DataLoss(path + " is truncated: shorter than the " +
-                            "checkpoint header");
-  }
-  std::memcpy(header, bytes.data(), sizeof(header));
-  if (header[0] != kCheckpointMagic) {
-    return Status::InvalidArgument(path +
-                                   " is not a PoisonRec attacker checkpoint");
-  }
-  if (header[1] != kCheckpointVersion) {
-    std::string hint;
-    if (header[1] < kCheckpointVersion) {
-      hint = " (version " + std::to_string(header[1]) +
-             " predates the v" + std::to_string(kCheckpointVersion) +
-             " format's per-episode sampling streams and whole-file "
-             "checksum; re-run the campaign to produce a current "
-             "checkpoint)";
-    }
-    return Status::InvalidArgument("unsupported attacker checkpoint version " +
-                                   std::to_string(header[1]) + hint);
-  }
-  // The header names a current checkpoint — now the integrity footer
-  // decides whether the rest of the bytes can be trusted: a length
-  // mismatch or missing footer is a torn publish, a CRC mismatch is
-  // bit rot. Both are kDataLoss (lost state), never misparsed.
   std::size_t payload_size = 0;
-  POISONREC_RETURN_NOT_OK(
-      VerifyIntegrityFooter(bytes, path, &payload_size));
+  POISONREC_RETURN_NOT_OK(VerifyCheckpointFraming(bytes, path, &payload_size));
   std::istringstream in(bytes.substr(0, payload_size));
-  in.seekg(sizeof(header));  // past the already-validated header
+  in.seekg(kCheckpointHeaderBytes);  // past the already-validated header
   std::uint64_t steps = 0;
   if (!ReadU64(in, &steps)) return Status::DataLoss("truncated checkpoint");
   std::uint64_t stream_seed = 0;

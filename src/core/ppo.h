@@ -11,6 +11,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "core/account_pool.h"
@@ -22,6 +23,7 @@
 #include "nn/optimizer.h"
 #include "obs/event_log.h"
 #include "util/cancel.h"
+#include "util/fsio.h"
 #include "util/guard.h"
 #include "util/retry.h"
 #include "util/status.h"
@@ -137,6 +139,45 @@ struct GuardedTrainResult {
   /// checkpointing itself failed.
   Status status;
 };
+
+/// The clipped PPO surrogate (Eq. 7/9) evaluated on host over one
+/// recomputed decision column, with the telemetry the guard monitors
+/// read.
+struct SurrogateResult {
+  /// −(1/D) Σ_k min(r_k A_k, clip(r_k, 1 ± ε) A_k) over the D decisions,
+  /// r_k = exp(log π_new − log π_old), in double.
+  double loss = 0.0;
+  /// d loss / d log π_new for each decision: −r_k A_k / D where the
+  /// ratio term is selected, 0 where the clipped constant is. The
+  /// gradient reaches the policy through
+  /// DecisionBatch::new_log_probs.Backward(seed).
+  std::vector<float> seed;
+  /// Mean −log π_new over the decisions: a sampled-entropy estimate.
+  double entropy = 0.0;
+  /// Mean log π_old − log π_new: approx KL(old || new).
+  double approx_kl = 0.0;
+  /// Decisions whose recomputed log-prob is NaN or infinite.
+  std::size_t non_finite_log_probs = 0;
+};
+
+/// Evaluates the clipped surrogate over `decisions`; decision k takes
+/// the advantage `traj_advantage[decisions.traj_index[k]]`. A decision
+/// is clipped when r > 1 + ε with A >= 0, or r < 1 − ε with A < 0.
+SurrogateResult ClippedSurrogate(const DecisionBatch& decisions,
+                                 const std::vector<double>& traj_advantage,
+                                 float clip_epsilon);
+
+/// Checks an attacker checkpoint's framing without parsing its payload:
+/// the "PRCK" magic, the format version, and the util/fsio integrity
+/// footer. On OK `*payload_size` receives the framed payload's length.
+/// A foreign file or another format version is kInvalidArgument; a
+/// short header or a failed footer is kDataLoss. `*integrity`
+/// (optional) classifies every failure as torn or corrupt, which is how
+/// `poisonrec fsck` reports it.
+Status VerifyCheckpointFraming(std::string_view bytes,
+                               const std::string& path,
+                               std::size_t* payload_size,
+                               FileIntegrity* integrity = nullptr);
 
 /// Recorded update graph shared by the K epochs of one TrainStep
 /// (defined in ppo.cc; built on epoch 0, replayed afterwards).
@@ -293,23 +334,17 @@ class PoisonRecAttacker {
   std::size_t steps_taken() const { return steps_taken_; }
 
  private:
-  /// Cheap per-epoch telemetry computed alongside the surrogate loss;
-  /// feeds the divergence monitors and TrainStepStats.
-  struct PpoDiagnostics {
-    double entropy = 0.0;
-    double approx_kl = 0.0;
-    std::size_t non_finite_log_probs = 0;
-  };
-
-  /// PPO surrogate loss over one batch of episodes; differentiable.
-  /// With `graph` non-null the first call records the whole forward
-  /// (recompute + surrogate) into it and later calls replay it against
-  /// current parameters — numerically identical to rebuilding from
-  /// scratch, since replay recomputes the same nodes in the same order.
-  /// Pass nullptr to build a fresh tape (resampled batches, K = 1).
-  nn::Tensor PpoLoss(const std::vector<const Episode*>& batch,
-                     double* loss_value, PpoDiagnostics* diagnostics,
-                     PpoUpdateGraph* graph);
+  /// Recomputes the log-prob of every decision in `batch` into
+  /// `*new_log_probs` (one (D x 1) column, the root the update
+  /// backpropagates from) and evaluates the clipped surrogate on it.
+  /// With `graph` non-null the first call records the recompute into it
+  /// and later calls replay it against current parameters — numerically
+  /// identical to recomputing from scratch, since replay recomputes the
+  /// same nodes in the same order. Pass nullptr to build a fresh tape
+  /// (resampled batches, K = 1).
+  SurrogateResult PpoSurrogate(const std::vector<const Episode*>& batch,
+                               PpoUpdateGraph* graph,
+                               nn::Tensor* new_log_probs);
 
   /// Records a tripped guard into both the step verdict and the
   /// incident ring (and its JSONL sink, when configured).

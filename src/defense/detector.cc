@@ -139,6 +139,23 @@ std::unique_ptr<Detector> MakeDefaultEnsemble() {
   return std::make_unique<EnsembleDetector>(std::move(parts));
 }
 
+StatusOr<std::unique_ptr<Detector>> MakeDetector(const std::string& name) {
+  if (name == "ensemble") return MakeDefaultEnsemble();
+  if (name == "cold") {
+    return std::unique_ptr<Detector>(
+        std::make_unique<ColdItemAffinityDetector>());
+  }
+  if (name == "entropy") {
+    return std::unique_ptr<Detector>(std::make_unique<ClickEntropyDetector>());
+  }
+  if (name == "fleet") {
+    return std::unique_ptr<Detector>(
+        std::make_unique<FleetSimilarityDetector>());
+  }
+  return Status::InvalidArgument("unknown detector \"" + name +
+                                 "\" (want ensemble|cold|entropy|fleet)");
+}
+
 double DetectionAuc(const std::vector<double>& scores,
                     const std::vector<data::UserId>& fake_users) {
   // Degenerate inputs yield the chance value instead of dividing by zero

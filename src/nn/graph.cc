@@ -40,23 +40,4 @@ void GraphTape::Register(std::shared_ptr<internal::TensorImpl> node) {
   nodes_.push_back(std::move(node));
 }
 
-void RecordedBackward::Capture(const Tensor& loss) {
-  POISONREC_CHECK(loss.defined());
-  POISONREC_CHECK(loss.is_scalar());
-  POISONREC_CHECK(loss.requires_grad());
-  root_ = loss.impl();
-  order_ = internal::TopologicalOrder(root_.get());
-}
-
-void RecordedBackward::Run(const Tensor& loss) const {
-  POISONREC_CHECK(loss.defined());
-  POISONREC_CHECK(loss.impl() == root_)
-      << "RecordedBackward::Run on a different loss than Capture saw";
-  root_->EnsureGrad();
-  root_->grad[0] += 1.0f;
-  for (auto it = order_.rbegin(); it != order_.rend(); ++it) {
-    if ((*it)->backward_fn) (*it)->backward_fn();
-  }
-}
-
 }  // namespace poisonrec::nn

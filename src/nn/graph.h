@@ -1,18 +1,16 @@
-// Recorded-graph reuse for the PPO update (the "re-taping" killer): the
-// K update epochs of a TrainStep build byte-for-byte identical autograd
-// graphs — same ops, same shapes, same leaf set — differing only in the
-// current parameter values and the host-recomputed clip masks. A
-// GraphTape records every attached node the first time the graph is
-// built; subsequent epochs call ReplayForward() to recompute the same
-// nodes in creation order (a valid topological order by construction)
-// instead of re-running op dispatch, shape checks, and node allocation.
+// Recorded-graph reuse for the PPO update: the K update epochs of a
+// TrainStep recompute byte-for-byte identical log-prob graphs — same
+// ops, same shapes, same leaf set — differing only in the current
+// parameter values. A GraphTape records every attached node the first
+// time the graph is built; subsequent epochs call ReplayForward() to
+// recompute the same nodes in creation order (a valid topological order
+// by construction) instead of re-running op dispatch, shape checks, and
+// node allocation.
 //
-// RecordedBackward freezes the backward schedule the same way: it stores
-// internal::TopologicalOrder, the closure order Tensor::Backward() runs,
-// once. Replaying that stored order accumulates gradients into shared
-// parents in the same sequence every epoch, which is what keeps reuse
-// bit-identical to fresh-tape backward — two valid topological orders
-// are NOT interchangeable under float accumulation.
+// Replay never changes a node's parent edges, so Tensor::Backward on a
+// replayed graph walks the same topological order and runs the same
+// closures in the same sequence as on a fresh tape: reuse stays
+// bit-identical without storing a backward schedule.
 #ifndef POISONREC_NN_GRAPH_H_
 #define POISONREC_NN_GRAPH_H_
 
@@ -64,28 +62,6 @@ class GraphTape {
 
  private:
   std::vector<std::shared_ptr<internal::TensorImpl>> nodes_;
-};
-
-/// Captured backward schedule for one scalar loss.
-class RecordedBackward {
- public:
-  /// Stores the closure order Tensor::Backward() would run over `loss`'s
-  /// graph (without executing any closure). Call once after the graph is
-  /// first built.
-  void Capture(const Tensor& loss);
-
-  /// Seeds d(loss)/d(loss) += 1 and invokes the captured closures in the
-  /// stored order — bit-identical to loss.Backward() on this graph. The
-  /// caller zeroes grads first (optimizer + GraphTape::ZeroGrads).
-  void Run(const Tensor& loss) const;
-
-  bool captured() const { return !order_.empty(); }
-
- private:
-  // Keeps the graph alive independent of the caller's handles; raw
-  // pointers in order_ stay valid as long as root_ does.
-  std::shared_ptr<internal::TensorImpl> root_;
-  std::vector<internal::TensorImpl*> order_;  // forward topo; run reversed
 };
 
 }  // namespace poisonrec::nn

@@ -24,7 +24,10 @@ std::shared_ptr<TensorImpl> NewNode(std::size_t rows, std::size_t cols) {
   return node;
 }
 
-bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
+// `Inputs` is a list of `const Tensor*`: a braced list at most call
+// sites, a vector for the N-ary ConcatRows.
+template <typename Inputs = std::initializer_list<const Tensor*>>
+bool TrackGrad(const Inputs& inputs) {
   if (!GradMode::Enabled()) return false;
   for (const Tensor* t : inputs) {
     if (t->requires_grad()) return true;
@@ -37,9 +40,9 @@ bool TrackGrad(std::initializer_list<const Tensor*> inputs) {
 // is only materialized (and the node only registered for replay) while
 // a GraphTape is recording on this thread, so the normal path pays one
 // thread-local read and nothing else.
-template <typename FwdFn>
-void Attach(const std::shared_ptr<TensorImpl>& out,
-            std::initializer_list<const Tensor*> inputs,
+template <typename FwdFn,
+          typename Inputs = std::initializer_list<const Tensor*>>
+void Attach(const std::shared_ptr<TensorImpl>& out, const Inputs& inputs,
             std::function<void()> backward_fn, FwdFn&& forward_fn) {
   out->requires_grad = true;
   out->EnsureGrad();
@@ -173,7 +176,16 @@ std::string Tensor::ShapeString() const {
   return "(" + std::to_string(rows()) + "x" + std::to_string(cols()) + ")";
 }
 
-std::vector<TensorImpl*> internal::TopologicalOrder(TensorImpl* root) {
+namespace {
+
+// Every node reachable from `root` through parent edges, in post-order
+// (parents visited in edge order, each node after all of its parents).
+// Backward runs the closures in the reverse of this order. It depends on
+// the parent edges alone, which a GraphTape replay leaves unchanged, so
+// a replayed graph accumulates gradients into shared parents in the
+// same sequence as a fresh tape — two valid topological orders are NOT
+// interchangeable under float accumulation.
+std::vector<TensorImpl*> TopologicalOrder(TensorImpl* root) {
   // Iterative post-order DFS, parents visited in edge order.
   std::vector<TensorImpl*> order;
   std::unordered_set<TensorImpl*> visited;
@@ -199,17 +211,24 @@ std::vector<TensorImpl*> internal::TopologicalOrder(TensorImpl* root) {
   return order;
 }
 
+}  // namespace
+
 void Tensor::Backward() {
-  POISONREC_CHECK(defined());
   POISONREC_CHECK(is_scalar()) << "Backward() requires a scalar loss, got "
                                << ShapeString();
+  Backward(std::vector<float>{1.0f});
+}
+
+void Tensor::Backward(const std::vector<float>& seed) {
+  POISONREC_CHECK(defined());
+  POISONREC_CHECK_EQ(seed.size(), size())
+      << "Backward seed must match the shape " << ShapeString();
   POISONREC_CHECK(impl_->requires_grad)
       << "Backward() on a tensor that does not require grad";
 
-  const std::vector<TensorImpl*> topo =
-      internal::TopologicalOrder(impl_.get());
+  const std::vector<TensorImpl*> topo = TopologicalOrder(impl_.get());
   impl_->EnsureGrad();
-  impl_->grad[0] += 1.0f;
+  for (std::size_t i = 0; i < seed.size(); ++i) impl_->grad[i] += seed[i];
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
     if ((*it)->backward_fn) (*it)->backward_fn();
   }
@@ -749,11 +768,12 @@ void ConcatColsForward(const TensorImpl* ai, const TensorImpl* bi,
   }
 }
 
-void ConcatRowsForward(const TensorImpl* ai, const TensorImpl* bi,
+void ConcatRowsForward(const std::vector<TensorImpl*>& parts,
                        TensorImpl* oi) {
-  std::copy(ai->data.begin(), ai->data.end(), oi->data.begin());
-  std::copy(bi->data.begin(), bi->data.end(),
-            oi->data.begin() + static_cast<std::ptrdiff_t>(ai->data.size()));
+  auto dst = oi->data.begin();
+  for (const TensorImpl* pi : parts) {
+    dst = std::copy(pi->data.begin(), pi->data.end(), dst);
+  }
 }
 
 }  // namespace
@@ -788,31 +808,36 @@ Tensor ConcatCols(const Tensor& a, const Tensor& b) {
   return result;
 }
 
-Tensor ConcatRows(const Tensor& a, const Tensor& b) {
-  POISONREC_CHECK_EQ(a.cols(), b.cols());
-  auto out = NewNode(a.rows() + b.rows(), a.cols());
-  TensorImpl* ai = a.impl().get();
-  TensorImpl* bi = b.impl().get();
+Tensor ConcatRows(const std::vector<Tensor>& parts) {
+  POISONREC_CHECK(!parts.empty());
+  std::vector<const Tensor*> inputs;
+  std::vector<TensorImpl*> impls;
+  std::size_t rows = 0;
+  for (const Tensor& part : parts) {
+    POISONREC_CHECK_EQ(part.cols(), parts[0].cols());
+    rows += part.rows();
+    inputs.push_back(&part);
+    impls.push_back(part.impl().get());
+  }
+  auto out = NewNode(rows, parts[0].cols());
   TensorImpl* oi = out.get();
-  ConcatRowsForward(ai, bi, oi);
+  ConcatRowsForward(impls, oi);
   Tensor result(out);
-  if (TrackGrad({&a, &b})) {
+  if (TrackGrad(inputs)) {
     Attach(
-        out, {&a, &b},
-        [ai, bi, oi]() {
-          if (ai->requires_grad) {
-            for (std::size_t i = 0; i < ai->grad.size(); ++i) {
-              ai->grad[i] += oi->grad[i];
+        out, inputs,
+        [impls, oi]() {
+          std::size_t offset = 0;
+          for (TensorImpl* pi : impls) {
+            if (pi->requires_grad) {
+              for (std::size_t i = 0; i < pi->grad.size(); ++i) {
+                pi->grad[i] += oi->grad[offset + i];
+              }
             }
-          }
-          if (bi->requires_grad) {
-            const std::size_t offset = ai->data.size();
-            for (std::size_t i = 0; i < bi->grad.size(); ++i) {
-              bi->grad[i] += oi->grad[offset + i];
-            }
+            offset += pi->data.size();
           }
         },
-        [ai, bi, oi]() { ConcatRowsForward(ai, bi, oi); });
+        [impls, oi]() { ConcatRowsForward(impls, oi); });
   }
   return result;
 }

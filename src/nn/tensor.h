@@ -52,13 +52,6 @@ struct TensorImpl {
   }
 };
 
-/// Every node reachable from `root` through parent edges, in post-order
-/// (parents visited in edge order, each node after all of its parents).
-/// Tensor::Backward runs the backward closures in the reverse of this
-/// order; RecordedBackward (nn/graph.h) stores it once so replays
-/// accumulate gradients in exactly the same sequence.
-std::vector<TensorImpl*> TopologicalOrder(TensorImpl* root);
-
 }  // namespace internal
 
 /// Thread-local gradient-recording mode (the PyTorch GradMode idiom).
@@ -139,9 +132,15 @@ class Tensor {
   /// Clears this tensor's gradient buffer (keeps allocation).
   void ZeroGrad();
 
-  /// Runs backpropagation from this (scalar) tensor: seeds d(self)/d(self)
-  /// = 1 and applies the tape in reverse topological order.
+  /// Runs backpropagation from this (scalar) tensor: Backward({1}).
   void Backward();
+  /// Runs backpropagation from this tensor with d(loss)/d(self) = `seed`
+  /// (one value per element, row-major) for a loss computed off the
+  /// tape: adds `seed` to this node's grad and applies the tape in
+  /// reverse topological order. The order is a pure function of the
+  /// graph's parent edges, so a GraphTape replay of the same graph
+  /// accumulates gradients in the same sequence as a fresh tape.
+  void Backward(const std::vector<float>& seed);
 
   /// Detached deep copy (new leaf; same data; requires_grad as given).
   Tensor DeepCopy(bool requires_grad = false) const;
@@ -205,8 +204,9 @@ Tensor RowSum(const Tensor& a);
 Tensor Transpose(const Tensor& a);
 /// Horizontal concatenation: (m x a) ++ (m x b) -> (m x (a+b)).
 Tensor ConcatCols(const Tensor& a, const Tensor& b);
-/// Vertical concatenation: (a x n) ++ (b x n) -> ((a+b) x n).
-Tensor ConcatRows(const Tensor& a, const Tensor& b);
+/// Vertical concatenation of one or more parts with equal column counts:
+/// (a x n) ++ (b x n) ++ ... -> ((a+b+...) x n), parts in list order.
+Tensor ConcatRows(const std::vector<Tensor>& parts);
 
 /// Contiguous column slice: columns [start, start+len) -> (m x len).
 Tensor Cols(const Tensor& a, std::size_t start, std::size_t len);

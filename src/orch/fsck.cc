@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cctype>
-#include <cstring>
 #include <filesystem>
 #include <map>
 #include <sstream>
@@ -10,6 +9,7 @@
 #include <utility>
 #include <vector>
 
+#include "core/ppo.h"
 #include "orch/journal.h"
 #include "orch/lease.h"
 #include "util/fsio.h"
@@ -18,11 +18,6 @@ namespace poisonrec::orch {
 namespace {
 
 namespace fs = std::filesystem;
-
-// Mirrors the checkpoint header in core/ppo.cc (kept file-local there;
-// fsck only classifies, it never parses the payload).
-constexpr std::uint32_t kCheckpointMagic = 0x5052434bu;  // "PRCK"
-constexpr std::uint32_t kCheckpointVersion = 4;
 
 /// `<id>.ckpt` or `<id>.t<token>.ckpt` -> campaign id.
 std::string CampaignIdFromCheckpointName(const std::string& filename) {
@@ -60,32 +55,14 @@ FsckArtifact AuditCheckpoint(const std::string& path) {
     artifact.detail = "unreadable";
     return artifact;
   }
-  std::uint32_t header[2] = {0, 0};
-  if (bytes->size() < sizeof(header)) {
-    artifact.verdict = FsckVerdict::kTorn;
-    artifact.detail = "shorter than the checkpoint header (torn publish)";
-    return artifact;
-  }
-  std::memcpy(header, bytes->data(), sizeof(header));
-  if (header[0] != kCheckpointMagic) {
-    artifact.verdict = FsckVerdict::kCorrupt;
-    artifact.detail = "not a PoisonRec attacker checkpoint";
-    return artifact;
-  }
-  if (header[1] != kCheckpointVersion) {
-    artifact.verdict = FsckVerdict::kCorrupt;
-    artifact.detail =
-        "unsupported checkpoint version " + std::to_string(header[1]);
-    return artifact;
-  }
   std::size_t payload_size = 0;
   FileIntegrity integrity = FileIntegrity::kOk;
   const Status verified =
-      VerifyIntegrityFooter(*bytes, path, &payload_size, &integrity);
+      core::VerifyCheckpointFraming(*bytes, path, &payload_size, &integrity);
   if (!verified.ok()) {
     artifact.verdict = integrity == FileIntegrity::kTorn ? FsckVerdict::kTorn
                                                          : FsckVerdict::kCorrupt;
-    // Strip the "<path>: " prefix VerifyIntegrityFooter bakes into its
+    // Strip the "<path>: " prefix the framing check bakes into its
     // message — the table already has a path column.
     std::string message = verified.message();
     const std::string prefix = path + ": ";

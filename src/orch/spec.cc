@@ -5,6 +5,8 @@
 #include <set>
 #include <string_view>
 
+#include "defense/detector.h"
+
 namespace poisonrec::orch {
 
 namespace {
@@ -453,6 +455,12 @@ Status ValidateCampaignSpec(const CampaignSpec& spec) {
   }
   if (spec.retry_attempts == 0) {
     return Status::InvalidArgument(where + "retry_attempts must be >= 1");
+  }
+  // Rejected here, not per attempt: a bad name fails every attempt the
+  // same way, and the supervisor would restart it max_restarts times.
+  const auto detector = defense::MakeDetector(spec.detector);
+  if (!detector.ok()) {
+    return Status::InvalidArgument(where + detector.status().message());
   }
   return Status::OK();
 }

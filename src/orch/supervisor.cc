@@ -25,28 +25,6 @@ bool AnyFaults(const env::FaultProfile& fault) {
          fault.nan_reward_rate > 0.0;
 }
 
-StatusOr<std::unique_ptr<defense::Detector>> MakeDetector(
-    const std::string& name) {
-  if (name == "cold") {
-    return std::unique_ptr<defense::Detector>(
-        std::make_unique<defense::ColdItemAffinityDetector>());
-  }
-  if (name == "entropy") {
-    return std::unique_ptr<defense::Detector>(
-        std::make_unique<defense::ClickEntropyDetector>());
-  }
-  if (name == "fleet") {
-    return std::unique_ptr<defense::Detector>(
-        std::make_unique<defense::FleetSimilarityDetector>());
-  }
-  if (name == "ensemble") {
-    return std::unique_ptr<defense::Detector>(
-        defense::MakeDefaultEnsemble());
-  }
-  return Status::InvalidArgument("unknown detector \"" + name +
-                                 "\" (want ensemble|cold|entropy|fleet)");
-}
-
 obs::Counter* FleetCounter(const char* name) {
   return obs::MetricsRegistry::Global().GetCounter(name);
 }
@@ -275,7 +253,7 @@ Status CampaignSupervisor::RunAttempt(CampaignOutcome* outcome) {
   if (AnyFaults(spec_.fault)) faulty.emplace(&environment, spec_.fault);
   std::unique_ptr<env::DefendedEnvironment> defended;
   if (spec_.defense) {
-    auto detector = MakeDetector(spec_.detector);
+    auto detector = defense::MakeDetector(spec_.detector);
     if (!detector.ok()) return detector.status();
     if (faulty.has_value()) {
       defended = std::make_unique<env::DefendedEnvironment>(

@@ -6,6 +6,7 @@
 // checkpoint/resume, and the graph replay must match a fresh tape
 // exactly. The kernel-layer fast paths underneath (fused LSTM gates,
 // threaded SparseMatMul) are checked here too.
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
@@ -24,6 +25,7 @@
 #include "rec/registry.h"
 #include "util/fsio.h"
 #include "util/random.h"
+#include "util/stats.h"
 
 namespace poisonrec::core {
 namespace {
@@ -306,6 +308,55 @@ TEST(EngineTest, CheckpointResumeMatchesUninterruptedBitwise) {
             CheckpointBytes(resumed, "poisonrec_engine_resumed.ckpt"));
 }
 
+TEST(EngineTest, ReplayedUpdateMatchesFreshTapeUpdateBitwise) {
+  // TrainStep records the recompute on epoch 0 and replays it for epochs
+  // 1..K-1. This reference redoes step 1's update from the same
+  // episodes and rewards with a fresh tape every epoch, through the
+  // same public pieces, and must land on the same parameters bitwise.
+  const PoisonRecConfig cfg = Fixture::MakeAttackerConfig();
+  ASSERT_GT(cfg.update_epochs, 1u);
+  ASSERT_GE(cfg.batch_size, cfg.samples_per_step);
+  Fixture f_step;
+  Fixture f_ref;
+  PoisonRecAttacker stepped(&f_step.environment, cfg);
+  PoisonRecAttacker reference(&f_ref.environment, cfg);
+  stepped.TrainStep();
+
+  const env::AttackEnvironment& environment = f_ref.environment;
+  std::vector<std::vector<SampledTrajectory>> episodes;
+  std::vector<double> advantages;
+  for (std::size_t m = 0; m < cfg.samples_per_step; ++m) {
+    Rng rng(DeriveStreamSeed(cfg.seed, /*step=*/1, m));
+    episodes.push_back(reference.policy().SampleEpisode(
+        environment.trajectory_length(), &rng));
+    advantages.push_back(
+        environment.Evaluate(ToEnvTrajectories(episodes.back())));
+  }
+  NormalizeRewards(&advantages, std::vector<char>(advantages.size(), 1));
+  ASSERT_NE(*std::max_element(advantages.begin(), advantages.end()), 0.0)
+      << "equal rewards give zero advantages and no gradient to compare";
+  std::vector<const SampledTrajectory*> trajs;
+  std::vector<double> traj_advantage;
+  for (std::size_t m = 0; m < episodes.size(); ++m) {
+    for (const SampledTrajectory& t : episodes[m]) {
+      trajs.push_back(&t);
+      traj_advantage.push_back(advantages[m]);
+    }
+  }
+  for (std::size_t epoch = 0; epoch < cfg.update_epochs; ++epoch) {
+    std::vector<DecisionBatch> decisions =
+        reference.policy().RecomputeLogProbs(trajs);
+    const SurrogateResult surrogate =
+        ClippedSurrogate(decisions[0], traj_advantage, cfg.clip_epsilon);
+    reference.optimizer().ZeroGrad();
+    decisions[0].new_log_probs.Backward(surrogate.seed);
+    nn::ClipGradNorm(reference.optimizer().parameters(), cfg.max_grad_norm);
+    reference.optimizer().Step();
+  }
+  ExpectParametersBitwiseEqual(stepped.policy(), reference.policy(),
+                               "replayed vs fresh-tape update");
+}
+
 // -- Graph record/replay ----------------------------------------------------
 
 TEST(GraphTapeTest, ReplayRecomputesWithFreshLeafData) {
@@ -329,49 +380,13 @@ TEST(GraphTapeTest, ReplayRecomputesWithFreshLeafData) {
   ASSERT_EQ(loss.item(), fresh.item());
 }
 
-TEST(RecordedBackwardTest, MatchesFreshBackwardBitwise) {
-  Rng rng(31);
-  nn::Tensor w = nn::Tensor::Randn(6, 4, 0.5f, &rng, /*requires_grad=*/true);
-  nn::Tensor x = nn::Tensor::Randn(3, 6, 0.5f, &rng);
-
-  // Reference: fresh graph + Tensor::Backward. The graph reuses w twice
-  // so gradient accumulation order into a shared parent is exercised.
-  auto build = [&]() {
-    nn::Tensor h = nn::Tanh(nn::MatMul(x, w));
-    nn::Tensor g = nn::Sigmoid(nn::MatMul(x, w));
-    return nn::Sum(nn::Mul(h, g));
-  };
-  nn::Tensor fresh_loss = build();
-  fresh_loss.Backward();
-  const std::vector<float> want = w.grad();
-
-  // Recorded: capture once, run twice (second run must match after a
-  // zero-grad, proving replays don't depend on first-run state).
-  w.ZeroGrad();
-  nn::GraphTape tape;
-  nn::Tensor loss;
-  {
-    nn::GraphTape::RecordScope record(&tape);
-    loss = build();
-  }
-  nn::RecordedBackward backward;
-  backward.Capture(loss);
-  backward.Run(loss);
-  ASSERT_EQ(w.grad(), want);
-
-  w.ZeroGrad();
-  tape.ZeroGrads();
-  tape.ReplayForward();
-  backward.Run(loss);
-  ASSERT_EQ(w.grad(), want);
-}
-
 TEST(GraphReuseTest, PolicyRecomputeReplayMatchesFreshTapeBitwise) {
   // The PPO update's identity oracle for graph reuse: record the policy
-  // log-prob recompute and a loss over it, move the parameters with an
-  // Adam step, then replay. The replayed log-probs must equal a fresh
-  // RecomputeLogProbs, and the captured backward schedule must produce
-  // the gradients loss.Backward() produces on a fresh tape.
+  // log-prob recompute, move the parameters with an Adam step, then
+  // replay. The replayed log-probs must equal a fresh RecomputeLogProbs,
+  // and Tensor::Backward from the replayed column must produce the
+  // gradients it produces on a fresh tape — on a second replay after
+  // ZeroGrads as well, so replays do not depend on first-run state.
   for (const ActionSpaceKind kind :
        {ActionSpaceKind::kPlain, ActionSpaceKind::kBPlain,
         ActionSpaceKind::kBcbtPopular, ActionSpaceKind::kBcbtRandom,
@@ -387,18 +402,10 @@ TEST(GraphReuseTest, PolicyRecomputeReplayMatchesFreshTapeBitwise) {
     for (const auto& episode : episodes) {
       for (const SampledTrajectory& t : episode) trajs.push_back(&t);
     }
-    // A row-weighted sum, so every decision's gradient differs.
-    auto loss_of = [](const std::vector<DecisionBatch>& decisions) {
-      nn::Tensor total;
-      for (const DecisionBatch& d : decisions) {
-        const std::size_t k = d.new_log_probs.rows();
-        std::vector<float> w(k);
-        for (std::size_t i = 0; i < k; ++i) w[i] = 0.5f + 0.25f * (i % 3);
-        const nn::Tensor s = nn::Sum(nn::Mul(
-            d.new_log_probs, nn::Tensor::FromData(k, 1, std::move(w))));
-        total = total.defined() ? nn::Add(total, s) : s;
-      }
-      return total;
+    auto recompute = [&policy, &trajs]() {
+      std::vector<DecisionBatch> batches = policy->RecomputeLogProbs(trajs);
+      EXPECT_EQ(batches.size(), 1u);
+      return batches[0].new_log_probs;
     };
     const std::vector<nn::Tensor> params = policy->Parameters();
     auto grads = [&params]() {
@@ -409,45 +416,42 @@ TEST(GraphReuseTest, PolicyRecomputeReplayMatchesFreshTapeBitwise) {
     nn::Adam adam(params, /*lr=*/0.05f);
 
     nn::GraphTape tape;
-    std::vector<DecisionBatch> recorded;
-    nn::Tensor loss;
+    nn::Tensor recorded;
     {
       nn::GraphTape::RecordScope record(&tape);
-      recorded = policy->RecomputeLogProbs(trajs);
-      loss = loss_of(recorded);
+      recorded = recompute();
     }
-    nn::RecordedBackward backward;
-    backward.Capture(loss);
+    // A row-weighted seed, so every decision's gradient differs.
+    std::vector<float> seed(recorded.rows());
+    for (std::size_t i = 0; i < seed.size(); ++i) {
+      seed[i] = 0.5f + 0.25f * static_cast<float>(i % 3);
+    }
     adam.ZeroGrad();
-    backward.Run(loss);
+    recorded.Backward(seed);
     const auto first_grads = grads();
-    const std::vector<float> first_log_probs =
-        recorded[0].new_log_probs.data();
+    const std::vector<float> first_log_probs = recorded.data();
     adam.ZeroGrad();
-    loss_of(policy->RecomputeLogProbs(trajs)).Backward();
+    recompute().Backward(seed);
     ASSERT_EQ(grads(), first_grads) << context;
     adam.Step();
 
     tape.ReplayForward();
-    const std::vector<DecisionBatch> fresh = policy->RecomputeLogProbs(trajs);
-    ASSERT_EQ(recorded.size(), fresh.size()) << context;
-    for (std::size_t b = 0; b < fresh.size(); ++b) {
-      ASSERT_EQ(recorded[b].new_log_probs.data(), fresh[b].new_log_probs.data())
-          << context << " decision batch " << b;
-    }
-    EXPECT_NE(recorded[0].new_log_probs.data(), first_log_probs)
+    nn::Tensor fresh = recompute();
+    ASSERT_EQ(recorded.data(), fresh.data()) << context;
+    EXPECT_NE(recorded.data(), first_log_probs)
         << context << ": the Adam step must move the replayed log-probs";
 
     adam.ZeroGrad();
-    tape.ZeroGrads();
-    backward.Run(loss);
-    const auto replayed_grads = grads();
-    adam.ZeroGrad();
-    nn::Tensor fresh_loss = loss_of(fresh);
-    ASSERT_EQ(loss.item(), fresh_loss.item()) << context;
-    fresh_loss.Backward();
-    EXPECT_EQ(replayed_grads, grads()) << context;
-    EXPECT_NE(replayed_grads, first_grads) << context;
+    fresh.Backward(seed);
+    const auto fresh_grads = grads();
+    EXPECT_NE(fresh_grads, first_grads) << context;
+    for (int replay = 0; replay < 2; ++replay) {
+      if (replay > 0) tape.ReplayForward();
+      adam.ZeroGrad();
+      tape.ZeroGrads();
+      recorded.Backward(seed);
+      EXPECT_EQ(grads(), fresh_grads) << context << ", replay " << replay;
+    }
   }
 }
 

@@ -152,6 +152,21 @@ TEST(EnsembleTest, FleetTopsOrganicPopulation) {
 
 // End-to-end: inject a Popular Attack fleet into an organic log and
 // verify the ensemble separates attacker accounts with high AUC.
+TEST(MakeDetectorTest, BuildsEveryNamedDetectorAndRejectsOthers) {
+  const std::pair<const char*, const char*> names[] = {
+      {"ensemble", "Ensemble"},
+      {"cold", "ColdItemAffinity"},
+      {"entropy", "ClickEntropy"},
+      {"fleet", "FleetSimilarity"}};
+  for (const auto& [name, want] : names) {
+    auto detector = MakeDetector(name);
+    ASSERT_TRUE(detector.ok()) << name;
+    EXPECT_EQ((*detector)->Name(), want) << name;
+  }
+  EXPECT_EQ(MakeDetector("bogus").status().code(),
+            StatusCode::kInvalidArgument);
+}
+
 TEST(DetectionEndToEnd, EnsembleDetectsHeuristicFleet) {
   env::EnvironmentConfig cfg;
   cfg.num_attackers = 10;

@@ -153,6 +153,11 @@ TEST(SpecTest, RejectsUnknownKeysAndBadPlans) {
   EXPECT_FALSE(ParseFleetPlanText(
                    R"({"campaigns":[{"id":"a","fault":{"stale":0.2}}]})")
                    .ok());
+  // An unknown detector would fail every attempt the same way.
+  EXPECT_FALSE(
+      ParseFleetPlanText(
+          R"({"campaigns":[{"id":"a","defense":true,"detector":"bogus"}]})")
+          .ok());
 }
 
 TEST(SpecTest, AttackerConfigIsGuardedAndSingleThreaded) {
@@ -536,6 +541,23 @@ TEST(FleetTest, InvalidPlanFailsFastWithExitCodeOne) {
   FleetOrchestrator orchestrator(plan, &log, DirOptions(dir));
   const FleetResult result = orchestrator.Run();
   EXPECT_FALSE(result.status.ok());
+  EXPECT_EQ(result.ExitCode(), 1);
+  EXPECT_TRUE(result.outcomes.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetTest, UnknownDetectorFailsFastWithoutRestarts) {
+  // Rejected before any attempt runs, not restarted max_restarts times
+  // and then ended failed.
+  const std::string dir = TempDir("poisonrec_fleet_baddetector");
+  const data::Dataset log = MakeLog();
+  FleetPlan plan = SmallPlan(1);
+  plan.campaigns[0].defense = true;
+  plan.campaigns[0].detector = "bogus";
+  plan.campaigns[0].max_restarts = 3;
+  FleetOrchestrator orchestrator(plan, &log, DirOptions(dir));
+  const FleetResult result = orchestrator.Run();
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(result.ExitCode(), 1);
   EXPECT_TRUE(result.outcomes.empty());
   std::filesystem::remove_all(dir);

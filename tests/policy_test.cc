@@ -6,7 +6,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <functional>
 
 #include <gtest/gtest.h>
 
@@ -128,25 +127,17 @@ INSTANTIATE_TEST_SUITE_P(
     });
 
 // Gradients of sum_k A[traj(k)] · log π(decision k) with respect to
-// every policy parameter, from zeroed buffers. `log_probs(b)` supplies
-// batch b's log-prob column for the batches RecomputeLogProbs built.
+// every policy parameter, from zeroed buffers. `log_probs` is a
+// log-prob column for `batch`'s decisions.
 std::vector<std::vector<float>> WeightedLogProbGrads(
-    const Policy& policy, const std::vector<DecisionBatch>& batches,
-    const std::vector<double>& advantages,
-    const std::function<nn::Tensor(std::size_t)>& log_probs) {
+    const Policy& policy, const DecisionBatch& batch,
+    const std::vector<double>& advantages, nn::Tensor log_probs) {
   for (nn::Tensor p : policy.Parameters()) p.ZeroGrad();
-  nn::Tensor loss;
-  for (std::size_t b = 0; b < batches.size(); ++b) {
-    std::vector<float> weights;
-    for (std::size_t i : batches[b].traj_index) {
-      weights.push_back(static_cast<float>(advantages[i]));
-    }
-    const std::size_t k = weights.size();
-    nn::Tensor w = nn::Tensor::FromData(k, 1, std::move(weights));
-    nn::Tensor term = nn::Sum(nn::Mul(log_probs(b), w));
-    loss = loss.defined() ? nn::Add(loss, term) : term;
+  std::vector<float> weights;
+  for (std::size_t i : batch.traj_index) {
+    weights.push_back(static_cast<float>(advantages[i]));
   }
-  loss.Backward();
+  log_probs.Backward(weights);
   std::vector<std::vector<float>> grads;
   for (const nn::Tensor& p : policy.Parameters()) grads.push_back(p.grad());
   return grads;
@@ -181,43 +172,48 @@ TEST_P(TreePolicyOracleTest, FusedGradientsMatchUnfusedChain) {
 
   const std::vector<DecisionBatch> fused_batches =
       policy.RecomputeLogProbs(ptrs);
-  ASSERT_EQ(fused_batches.size(), kT);  // one batch per timestep
-  const std::vector<std::vector<float>> fused = WeightedLogProbGrads(
-      policy, fused_batches, advantages,
-      [&](std::size_t b) { return fused_batches[b].new_log_probs; });
+  ASSERT_EQ(fused_batches.size(), 1u);
+  const std::vector<std::vector<float>> fused =
+      WeightedLogProbGrads(policy, fused_batches[0], advantages,
+                           fused_batches[0].new_log_probs);
 
-  // A fresh graph; its fused nodes are left out of the loss. The oracle
-  // reads the same query rows and tables (the fused node's parents) and
-  // indexes them from the trajectories, independently of policy.cc.
+  // A fresh graph; its fused nodes are left out of the loss. The column
+  // joins one fused node per timestep; the oracle reads the same query
+  // rows and tables (each fused node's parents) and indexes them from
+  // the trajectories, independently of policy.cc.
   const std::vector<DecisionBatch> batches = policy.RecomputeLogProbs(ptrs);
-  const std::vector<std::vector<float>> oracle = WeightedLogProbGrads(
-      policy, batches, advantages, [&](std::size_t t) {
-        const auto& parents = batches[t].new_log_probs.impl()->parents;
-        const nn::Tensor q(parents[0]);
-        const nn::Tensor item_table(parents[1]);
-        const nn::Tensor node_table(parents[2]);
-        EXPECT_EQ(item_table.impl(), policy.item_embeddings().impl());
-        const auto feature = [&](int node) -> std::size_t {
-          return tree->IsLeaf(node) ? tree->LeafItem(node)
-                                    : kItems + static_cast<std::size_t>(node);
-        };
-        std::vector<std::size_t> offsets = {0};
-        std::vector<std::size_t> chosen;
-        std::vector<std::size_t> sibling;
-        for (const SampledTrajectory* traj : ptrs) {
-          const std::vector<int>& path = traj->steps[t].path;
-          for (std::size_t d = 1; d < path.size(); ++d) {
-            chosen.push_back(feature(path[d]));
-            sibling.push_back(feature(tree->Sibling(path[d])));
-          }
-          offsets.push_back(chosen.size());
-        }
-        nn::Tensor lp = testing::UnfusedTreePathLogProb(
-            q, item_table, node_table, offsets, chosen, sibling);
-        EXPECT_EQ(lp.data(), batches[t].new_log_probs.data())
-            << "forward must be bitwise equal, timestep " << t;
-        return lp;
-      });
+  const auto& timesteps = batches[0].new_log_probs.impl()->parents;
+  ASSERT_EQ(timesteps.size(), kT);  // one fused column per timestep
+  std::vector<nn::Tensor> oracle_columns;
+  for (std::size_t t = 0; t < kT; ++t) {
+    const auto& parents = timesteps[t]->parents;
+    const nn::Tensor q(parents[0]);
+    const nn::Tensor item_table(parents[1]);
+    const nn::Tensor node_table(parents[2]);
+    EXPECT_EQ(item_table.impl(), policy.item_embeddings().impl());
+    const auto feature = [&](int node) -> std::size_t {
+      return tree->IsLeaf(node) ? tree->LeafItem(node)
+                                : kItems + static_cast<std::size_t>(node);
+    };
+    std::vector<std::size_t> offsets = {0};
+    std::vector<std::size_t> chosen;
+    std::vector<std::size_t> sibling;
+    for (const SampledTrajectory* traj : ptrs) {
+      const std::vector<int>& path = traj->steps[t].path;
+      for (std::size_t d = 1; d < path.size(); ++d) {
+        chosen.push_back(feature(path[d]));
+        sibling.push_back(feature(tree->Sibling(path[d])));
+      }
+      offsets.push_back(chosen.size());
+    }
+    oracle_columns.push_back(testing::UnfusedTreePathLogProb(
+        q, item_table, node_table, offsets, chosen, sibling));
+    EXPECT_EQ(oracle_columns.back().data(), timesteps[t]->data)
+        << "forward must be bitwise equal, timestep " << t;
+  }
+  const std::vector<std::vector<float>> oracle =
+      WeightedLogProbGrads(policy, batches[0], advantages,
+                           nn::ConcatRows(oracle_columns));
 
   ASSERT_EQ(fused.size(), oracle.size());
   for (std::size_t i = 0; i < fused.size(); ++i) {

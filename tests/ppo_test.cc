@@ -2,12 +2,14 @@
 // end-to-end learning property (reward rises on an ItemPop system).
 #include "core/ppo.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
 #include "rec/registry.h"
+#include "tree_path_oracle.h"
 
 namespace poisonrec::core {
 namespace {
@@ -188,6 +190,127 @@ TEST(PoisonRecAttackerTest, WorksWithEveryActionSpace) {
     PoisonRecAttacker attacker(&f.environment, cfg);
     TrainStepStats stats = attacker.TrainStep();
     EXPECT_TRUE(std::isfinite(stats.loss)) << ActionSpaceKindName(kind);
+  }
+}
+
+// Oracle for ClippedSurrogate: the surrogate as the taped chain the PPO
+// update differentiated before the surrogate became host arithmetic —
+// Sub, Exp, Mul by a forward-computed mask (A where the ratio term is
+// selected, 0 where the clipped constant is), Sum and Scale(−1/D) — with
+// the clipped constants summed on host.
+struct TapedSurrogate {
+  nn::Tensor masked_loss;  // −(1/D) Σ_unclipped r·A, differentiable
+  double loss = 0.0;       // masked_loss − (1/D) Σ_clipped clip(r)·A
+  std::size_t clipped = 0;
+  std::size_t unclipped = 0;
+};
+
+TapedSurrogate TapedClippedSurrogate(const DecisionBatch& decisions,
+                                     const std::vector<double>& advantages,
+                                     float eps) {
+  const std::size_t n = decisions.new_log_probs.rows();
+  std::vector<float> old_vals(n);
+  std::vector<float> mask(n, 0.0f);
+  double constant = 0.0;
+  TapedSurrogate out;
+  for (std::size_t k = 0; k < n; ++k) {
+    const double adv = advantages[decisions.traj_index[k]];
+    const double r =
+        std::exp(static_cast<double>(decisions.new_log_probs.at(k, 0)) -
+                 decisions.old_log_probs[k]);
+    const bool unclipped = adv >= 0.0 ? r <= 1.0 + eps : r >= 1.0 - eps;
+    if (unclipped) {
+      mask[k] = static_cast<float>(adv);
+      ++out.unclipped;
+    } else {
+      constant += std::clamp(r, 1.0 - eps, 1.0 + eps) * adv;
+      ++out.clipped;
+    }
+    old_vals[k] = static_cast<float>(decisions.old_log_probs[k]);
+  }
+  const nn::Tensor ratio = nn::Exp(nn::Sub(
+      decisions.new_log_probs, nn::Tensor::FromData(n, 1, std::move(old_vals))));
+  out.masked_loss =
+      nn::Scale(nn::Sum(nn::Mul(ratio, nn::Tensor::FromData(n, 1, std::move(mask)))),
+                -1.0f / static_cast<float>(n));
+  out.loss = out.masked_loss.item() - constant / static_cast<double>(n);
+  return out;
+}
+
+TEST(ClippedSurrogateTest, MatchesTapedChainOnEveryActionSpace) {
+  // Random non-zero advantages of both signs: the benchmark's saturated
+  // rewards give all-zero Eq. 8 advantages, so it cannot see a wrong
+  // seed. Parameters are perturbed after sampling so ratios leave 1, and
+  // ε is small enough that both clipped and unclipped decisions occur.
+  constexpr float kEps = 0.01f;
+  std::vector<data::ItemId> originals;
+  for (data::ItemId i = 0; i < 20; ++i) originals.push_back(i);
+  const std::vector<data::ItemId> targets = {20, 21, 22};
+  for (const ActionSpaceKind kind :
+       {ActionSpaceKind::kPlain, ActionSpaceKind::kBPlain,
+        ActionSpaceKind::kBcbtPopular, ActionSpaceKind::kBcbtRandom,
+        ActionSpaceKind::kCbtUnbiased}) {
+    const std::string context = ActionSpaceKindName(kind);
+    PolicyConfig config;
+    config.embedding_dim = 8;
+    config.action_space = kind;
+    Policy policy(5, 23, originals, targets, config);
+    Rng rng(31);
+    std::vector<std::vector<SampledTrajectory>> episodes;
+    for (int e = 0; e < 3; ++e) episodes.push_back(policy.SampleEpisode(6, &rng));
+    std::vector<const SampledTrajectory*> trajs;
+    std::vector<double> advantages;
+    for (const auto& episode : episodes) {
+      for (const SampledTrajectory& t : episode) {
+        trajs.push_back(&t);
+        const double magnitude = rng.Uniform(0.25, 1.5);
+        advantages.push_back(rng.Uniform() < 0.5 ? -magnitude : magnitude);
+      }
+    }
+    const std::vector<nn::Tensor> params = policy.Parameters();
+    for (nn::Tensor p : params) {
+      for (float& v : p.mutable_data()) {
+        v += static_cast<float>(rng.Normal(0.0, 0.05));
+      }
+    }
+    auto grads = [&params]() {
+      std::vector<std::vector<float>> out;
+      for (const nn::Tensor& p : params) out.push_back(p.grad());
+      return out;
+    };
+    auto zero_grads = [&params]() {
+      for (nn::Tensor p : params) p.ZeroGrad();
+    };
+
+    std::vector<DecisionBatch> host_batches = policy.RecomputeLogProbs(trajs);
+    ASSERT_EQ(host_batches.size(), 1u) << context;
+    const SurrogateResult host =
+        ClippedSurrogate(host_batches[0], advantages, kEps);
+    zero_grads();
+    host_batches[0].new_log_probs.Backward(host.seed);
+    const auto host_grads = grads();
+
+    const std::vector<DecisionBatch> oracle_batches =
+        policy.RecomputeLogProbs(trajs);
+    TapedSurrogate oracle =
+        TapedClippedSurrogate(oracle_batches[0], advantages, kEps);
+    EXPECT_GT(oracle.clipped, 0u) << context;
+    EXPECT_GT(oracle.unclipped, 0u) << context;
+    zero_grads();
+    oracle.masked_loss.Backward();
+    const auto oracle_grads = grads();
+
+    EXPECT_LE(std::abs(host.loss - oracle.loss), 1e-6 * std::abs(oracle.loss))
+        << context << ": host " << host.loss << " vs taped " << oracle.loss;
+    ASSERT_EQ(host_grads.size(), oracle_grads.size());
+    for (std::size_t i = 0; i < host_grads.size(); ++i) {
+      double mass = 0.0;
+      for (float g : oracle_grads[i]) mass += std::abs(g);
+      EXPECT_GT(mass, 0.0) << context << " parameter " << i;
+      EXPECT_LE(testing::MaxRelativeDeviation(host_grads[i], oracle_grads[i]),
+                testing::kTreePathGradRelTol)
+          << context << " parameter " << i;
+    }
   }
 }
 

@@ -174,7 +174,7 @@ TEST(TensorForward, ConcatColsAndRows) {
   EXPECT_FLOAT_EQ(cc.at(1, 2), 6.0f);
 
   Tensor c = Tensor::FromData(1, 2, {7, 8});
-  Tensor cr = ConcatRows(b, c);
+  Tensor cr = ConcatRows({b, c});
   EXPECT_EQ(cr.rows(), 3u);
   EXPECT_FLOAT_EQ(cr.at(2, 1), 8.0f);
 }
@@ -303,8 +303,33 @@ TEST(TensorGrad, ConcatColsBoth) {
 TEST(TensorGrad, ConcatRowsBoth) {
   Tensor b = RandomTensor(2, 3, 50, false);
   CheckGradient(RandomTensor(4, 3, 51), [&b](const Tensor& x) {
-    return Sum(Square(ConcatRows(b, x)));
+    return Sum(Square(ConcatRows({b, x})));
   });
+}
+
+TEST(TensorGrad, ConcatRowsThreePartsOneWithoutGrad) {
+  // Each part's gradient is read at its row offset; the part without
+  // grad in the middle is skipped but still shifts the offset after it.
+  Tensor a = RandomTensor(1, 3, 52);
+  Tensor b = RandomTensor(2, 3, 53, false);
+  CheckGradient(RandomTensor(3, 3, 54), [&a, &b](const Tensor& x) {
+    return Sum(Square(ConcatRows({a, b, x})));
+  });
+
+  Tensor x = RandomTensor(3, 3, 55);
+  a.ZeroGrad();
+  Tensor cat = ConcatRows({a, b, x});
+  ASSERT_EQ(cat.rows(), 6u);
+  std::vector<float> want = a.data();
+  want.insert(want.end(), b.data().begin(), b.data().end());
+  want.insert(want.end(), x.data().begin(), x.data().end());
+  EXPECT_EQ(cat.data(), want);
+  std::vector<float> seed(cat.size());
+  for (std::size_t i = 0; i < seed.size(); ++i) seed[i] = 1.0f + i;
+  cat.Backward(seed);
+  EXPECT_EQ(a.grad(), std::vector<float>(seed.begin(), seed.begin() + 3));
+  EXPECT_TRUE(b.grad().empty());
+  EXPECT_EQ(x.grad(), std::vector<float>(seed.begin() + 9, seed.end()));
 }
 
 TEST(TensorGrad, RowsScatterAccumulates) {
@@ -507,15 +532,11 @@ TEST(TreePathLogProbTest, ThreadCountInvariantAboveParallelThreshold) {
 TEST(TreePathLogProbTest, GraphReplayMatchesFreshTape) {
   TreePathCase c = MakeTreePathCase(300, 16, 40, 39, 8, 104);
   GraphTape tape;
-  RecordedBackward backward;
   Tensor out;
-  Tensor loss;
   {
     GraphTape::RecordScope record(&tape);
     out = FusedOn(c);
-    loss = Sum(Mul(out, c.weights));
   }
-  backward.Capture(loss);
   // New leaf values, as after an optimizer step, then replay.
   Rng rng(7);
   for (Tensor* t : {&c.q, &c.item, &c.node}) {
@@ -526,7 +547,8 @@ TEST(TreePathLogProbTest, GraphReplayMatchesFreshTape) {
   }
   tape.ReplayForward();
   tape.ZeroGrads();
-  backward.Run(loss);
+  // d/d out of sum(weights ⊙ out) is the weights, bit for bit.
+  out.Backward(c.weights.data());
   const TreePathRun replayed = {out.data(), c.q.grad(), c.item.grad(),
                                 c.node.grad()};
   const TreePathRun fresh = RunTreePath(c, FusedOn);

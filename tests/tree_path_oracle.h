@@ -26,7 +26,7 @@ inline nn::Tensor UnfusedTreePathLogProb(
       q_rows.push_back(r);
     }
   }
-  nn::Tensor feats = nn::ConcatRows(item_table, node_table);
+  nn::Tensor feats = nn::ConcatRows({item_table, node_table});
   nn::Tensor qd = nn::Rows(q, q_rows);
   nn::Tensor ch = nn::Rows(feats, chosen);
   nn::Tensor sib = nn::Rows(feats, sibling);

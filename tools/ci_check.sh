@@ -381,7 +381,9 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 # intentionally multi-threaded control paths, and the attacker engine
 # runs parallel episode sampling and reward queries over row-partitioned
 # kernels, threaded elementwise ops, the fused tree-path log-prob op and
-# threaded sparse matmuls; run their tests under ThreadSanitizer
+# threaded sparse matmuls; ppo_test's attackers default num_threads to
+# the hardware concurrency, so it drives threaded sampling and kernels
+# through the whole PPO update. Run these tests under ThreadSanitizer
 # (incompatible with ASan, hence the separate build tree).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
@@ -390,7 +392,7 @@ cmake -B "${TSAN_DIR}" -S . \
 cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
-           batched_engine_test tensor_test policy_test
+           batched_engine_test tensor_test policy_test ppo_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -401,5 +403,6 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/batched_engine_test"
 "${TSAN_DIR}/tests/tensor_test"
 "${TSAN_DIR}/tests/policy_test"
+"${TSAN_DIR}/tests/ppo_test"
 
 echo "ci_check: OK"

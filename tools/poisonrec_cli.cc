@@ -318,14 +318,6 @@ int CmdDetect(const Flags& flags) {
   return 0;
 }
 
-std::unique_ptr<defense::Detector> BuildDetector(const std::string& name) {
-  if (name == "cold") return std::make_unique<defense::ColdItemAffinityDetector>();
-  if (name == "entropy") return std::make_unique<defense::ClickEntropyDetector>();
-  if (name == "fleet") return std::make_unique<defense::FleetSimilarityDetector>();
-  POISONREC_CHECK(name == "ensemble") << "unknown detector '" << name << "'";
-  return defense::MakeDefaultEnsemble();
-}
-
 /// End-of-campaign telemetry fan-out: summary table on stdout plus the
 /// optional snapshot files. Called on every CmdCampaign exit path so an
 /// aborted campaign still leaves its telemetry behind (that is exactly
@@ -385,6 +377,17 @@ void FinalizeTelemetry(const std::string& metrics_out,
 
 int CmdCampaign(const Flags& flags) {
   const bool defended = flags.Get("defense", "false") == "true";
+  const std::string detector_name = flags.Get("defense-detector", "ensemble");
+  std::unique_ptr<defense::Detector> detector;
+  if (defended) {
+    auto made = defense::MakeDetector(detector_name);
+    if (!made.ok()) {
+      std::fprintf(stderr, "campaign: --defense-detector: %s\n",
+                   made.status().message().c_str());
+      return 2;
+    }
+    detector = std::move(made).value();
+  }
   const std::string metrics_out = flags.Get("metrics-out", "");
   const std::string trace_out = flags.Get("trace-out", "");
   const std::string events_out = flags.Get("events-out", "");
@@ -421,11 +424,10 @@ int CmdCampaign(const Flags& flags) {
     defense.ban_probability = flags.GetDouble("defense-ban-prob", 1.0);
     defense.seed = flags.GetSize("defense-seed", 4321);
     platform = std::make_unique<env::DefendedEnvironment>(
-        &faulty, BuildDetector(flags.Get("defense-detector", "ensemble")),
-        defense);
+        &faulty, std::move(detector), defense);
     std::printf("defender: %s detector, sweep every %zu queries, "
                 "%zu bans/sweep; attacker pool reserve %zu\n",
-                flags.Get("defense-detector", "ensemble").c_str(),
+                detector_name.c_str(),
                 defense.detection_interval, defense.bans_per_sweep,
                 pool_reserve);
   }
