@@ -5,6 +5,12 @@
 // policy (src/nn/module.cc), the PPO log-prob recompute, the AutoRec
 // encoder, plus the canonical 256x256x256 acceptance shape.
 //
+// A second table times one nn::Adam::Step over the parameter layouts
+// the neural rankers train (NeuMF and GRU4Rec at Steam x0.1, dim 16),
+// single-threaded and threaded, with and without subnormal optimizer
+// state, plus flat layouts that bracket the Adam threading cutoff
+// (results/adam_timing.json).
+//
 // Timing protocol: min over POISONREC_REPEATS repetitions (default 5)
 // of the mean time across enough inner iterations to fill ~10ms, so
 // small shapes are not measured at clock resolution. Emits a table and
@@ -15,11 +21,16 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <limits>
+#include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench/common.h"
 #include "nn/kernels.h"
+#include "nn/optimizer.h"
+#include "util/logging.h"
 #include "util/random.h"
 #include "util/timer.h"
 
@@ -77,6 +88,109 @@ std::string Fmt(double v, const char* format) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), format, v);
   return buf;
+}
+
+struct AdamCase {
+  std::string label;
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;  // rows, cols
+  // Share of elements with a zero gradient and a subnormal value and
+  // first moment: the state of NeuMF's embedding rows that go many
+  // steps without a gradient (m decays by beta1 to denorm_min and stays
+  // there under round-to-nearest). Over a NeuMF Fit at Steam x0.1, 12%
+  // of values and 15% of first moments are subnormal; no second moment
+  // is (beta2 decays too slowly).
+  double subnormal_share;
+};
+
+// Parameters, gradients and Adam state for one case, ready to Step.
+struct AdamState {
+  std::vector<nn::Tensor> params;
+  std::unique_ptr<nn::Adam> adam;
+};
+
+AdamState MakeAdamState(const AdamCase& c, std::uint64_t seed) {
+  Rng rng(seed);
+  AdamState state;
+  std::vector<std::vector<float>> m, v;
+  const float tiny = std::numeric_limits<float>::denorm_min();
+  for (const auto& [rows, cols] : c.shapes) {
+    nn::Tensor p = nn::Tensor::Zeros(rows, cols, /*requires_grad=*/true);
+    std::vector<float>& data = p.mutable_data();
+    std::vector<float>& grad = p.mutable_grad();
+    m.emplace_back(data.size());
+    v.emplace_back(data.size());
+    for (std::size_t j = 0; j < data.size(); ++j) {
+      if (rng.Uniform(0.0, 1.0) < c.subnormal_share) {
+        data[j] = 5.0f * tiny;  // grad stays 0
+        m.back()[j] = tiny;
+        v.back()[j] = 1e-8f;
+        continue;
+      }
+      data[j] = static_cast<float>(rng.Uniform(-0.1, 0.1));
+      grad[j] = static_cast<float>(rng.Uniform(-0.01, 0.01));
+      m.back()[j] = grad[j];
+      v.back()[j] = grad[j] * grad[j];
+    }
+    state.params.push_back(p);
+  }
+  // The rankers' weight decay (FitConfig: 1e-4) but a zero learning
+  // rate, so the state is the same for every one of the thousands of
+  // timed steps: under a fixed gradient the parameters would drift until
+  // weight decay cancels it, and the tiny g that leaves makes g*g
+  // subnormal, so a later phase would time a slower state. The cost of
+  // an element does not depend on lr.
+  state.adam = std::make_unique<nn::Adam>(state.params, 0.0f, 0.9f, 0.999f,
+                                          1e-8f, 1e-4f);
+  POISONREC_CHECK(
+      state.adam->RestoreState(1000, std::move(m), std::move(v)).ok());
+  return state;
+}
+
+void RunAdamCases(const BenchConfig& config, std::size_t repeats,
+                  std::size_t threads) {
+  // Layouts in registration order; the rankers' parameter lists.
+  const std::vector<std::pair<std::size_t, std::size_t>> neumf = {
+      {651, 16}, {513, 16}, {651, 16}, {513, 16}, {32, 16},
+      {1, 16},   {16, 8},   {1, 8},    {24, 1},   {1, 1}};
+  const std::vector<std::pair<std::size_t, std::size_t>> gru4rec = {
+      {513, 16}, {16, 48}, {16, 48}, {1, 48}, {1, 48}};
+  const std::vector<AdamCase> cases = {
+      {"adam_gru4rec", gru4rec, 0.0},
+      {"adam_neumf", neumf, 0.0},
+      {"adam_neumf_subnormal", neumf, 0.15},
+      {"adam_flat_8k", {{512, 16}}, 0.0},
+      {"adam_flat_16k", {{1024, 16}}, 0.0},
+      {"adam_flat_32k", {{2048, 16}}, 0.0},
+  };
+
+  PrintTableHeader(
+      {"adam_case", "elements", "step_1t_us", "step_mt_us", "speedup_mt"});
+  std::vector<std::vector<std::string>> rows;
+  rows.push_back({"case", "elements", "subnormal_share", "threads",
+                  "step_1t_us", "step_mt_us", "speedup_mt"});
+  for (const AdamCase& c : cases) {
+    // A fresh, identical state for each thread count.
+    const auto time_steps = [&](std::size_t num_threads) {
+      AdamState state = MakeAdamState(c, config.seed);
+      nn::SetNumThreads(num_threads);
+      const double s = MinSeconds(repeats, [&] { state.adam->Step(); });
+      nn::SetNumThreads(0);
+      return s;
+    };
+    std::size_t elements = 0;
+    for (const auto& [r, k] : c.shapes) elements += r * k;
+    const double one_s = time_steps(1);
+    const double mt_s = time_steps(threads);
+    PrintTableRow({c.label, std::to_string(elements),
+                   Fmt(one_s * 1e6, "%.2f"), Fmt(mt_s * 1e6, "%.2f"),
+                   Fmt(one_s / mt_s, "%.2f")});
+    rows.push_back({c.label, std::to_string(elements),
+                    Fmt(c.subnormal_share, "%.2f"), std::to_string(threads),
+                    Fmt(one_s * 1e6, "%.3f"), Fmt(mt_s * 1e6, "%.3f"),
+                    Fmt(one_s / mt_s, "%.3f")});
+  }
+  WriteCsvOutput(config, "adam_timing.csv", rows);
+  WriteJsonOutput(config, "adam_timing.json", rows);
 }
 
 int Main() {
@@ -142,6 +256,8 @@ int Main() {
 
   WriteCsvOutput(config, "kernel_timing.csv", rows);
   WriteJsonOutput(config, "kernel_timing.json", rows);
+
+  RunAdamCases(config, repeats, threads);
   return 0;
 }
 

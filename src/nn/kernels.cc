@@ -140,9 +140,11 @@ void GemmNTRows(std::size_t i0, std::size_t i1, std::size_t k, std::size_t n,
 // Row-partitions [0, m) across the kernel thread budget and runs
 // `rows(i0, i1)` for each block. Rows are handed out in blocks of
 // roughly m / (threads * 4) so the atomic index counter stays cold
-// while load still balances when rows have uneven cost.
+// while load still balances when rows have uneven cost. `span` (a
+// string literal) names the trace span of the threaded branch.
 template <typename RowsFn>
-void ForEachRowBlock(std::size_t m, std::size_t work, const RowsFn& rows) {
+void ForEachRowBlock(std::size_t m, std::size_t work, const char* span,
+                     const RowsFn& rows) {
   if (work < kParallelMinWork) {  // skip even the thread-budget lookup
     rows(0, m);
     return;
@@ -158,7 +160,7 @@ void ForEachRowBlock(std::size_t m, std::size_t work, const RowsFn& rows) {
   // Span only around the threaded branch: these are the regions the
   // perf backlog (ROADMAP.md) needs to see, and the tiny single-threaded
   // matmuls are far too frequent to trace individually.
-  POISONREC_TRACE_SPAN("gemm/threaded");
+  POISONREC_TRACE_SPAN(span);
   ParallelFor(num_blocks, threads, [&](std::size_t bi) {
     const std::size_t i0 = bi * block;
     rows(i0, std::min(m, i0 + block));
@@ -209,9 +211,10 @@ void GemmNN(std::size_t m, std::size_t k, std::size_t n, const float* a,
     }
     return;
   }
-  ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmNNRows(i0, i1, k, n, a, b, c);
-  });
+  ForEachRowBlock(m, m * k * n, "gemm/threaded",
+                  [&](std::size_t i0, std::size_t i1) {
+                    GemmNNRows(i0, i1, k, n, a, b, c);
+                  });
 }
 
 void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -228,9 +231,10 @@ void GemmTN(std::size_t m, std::size_t k, std::size_t n, const float* a,
     }
     return;
   }
-  ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmTNRows(i0, i1, m, k, n, a, b, c);
-  });
+  ForEachRowBlock(m, m * k * n, "gemm/threaded",
+                  [&](std::size_t i0, std::size_t i1) {
+                    GemmTNRows(i0, i1, m, k, n, a, b, c);
+                  });
 }
 
 void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
@@ -243,14 +247,15 @@ void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
     GemmNTRows(0, m, k, n, a, b, c);  // already unblocked per-row dots
     return;
   }
-  ForEachRowBlock(m, m * k * n, [&](std::size_t i0, std::size_t i1) {
-    GemmNTRows(i0, i1, k, n, a, b, c);
-  });
+  ForEachRowBlock(m, m * k * n, "gemm/threaded",
+                  [&](std::size_t i0, std::size_t i1) {
+                    GemmNTRows(i0, i1, k, n, a, b, c);
+                  });
 }
 
 void ParallelRows(std::size_t m, std::size_t work,
                   const std::function<void(std::size_t, std::size_t)>& rows) {
-  ForEachRowBlock(m, work, rows);
+  ForEachRowBlock(m, work, "kernels/parallel_rows", rows);
 }
 
 }  // namespace kernels

@@ -49,12 +49,13 @@ void GemmNT(std::size_t m, std::size_t k, std::size_t n, const float* a,
 
 /// Row-partitions [0, m) across the kernel thread budget and invokes
 /// `rows(i0, i1)` for each block — the same partitioner the dense GEMMs
-/// use, exported so fused elementwise ops and sparse kernels share the
-/// row-ownership determinism contract: every row is owned by exactly
+/// use, exported so fused elementwise ops, sparse kernels and Adam share
+/// the row-ownership determinism contract: every row is owned by exactly
 /// one thread, so any per-row computation that never reduces across
 /// rows is bit-identical at every thread count. `work` is the total
 /// multiply-accumulate (or equivalent) count; below the same threshold
-/// the GEMMs use, the call runs inline as rows(0, m).
+/// the GEMMs use, the call runs inline as rows(0, m). The threaded
+/// branch opens the `kernels/parallel_rows` trace span.
 void ParallelRows(std::size_t m, std::size_t work,
                   const std::function<void(std::size_t, std::size_t)>& rows);
 

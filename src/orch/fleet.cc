@@ -103,6 +103,14 @@ std::string HostName() {
   return buffer;
 }
 
+// Creates the directories above `path`. Best effort: the open that
+// follows reports a failure with the path in hand.
+void CreateParentDirectories(const std::string& path) {
+  const std::filesystem::path dir = std::filesystem::path(path).parent_path();
+  std::error_code ec;
+  if (!dir.empty()) std::filesystem::create_directories(dir, ec);
+}
+
 /// Journal state a preempted campaign carries into its next run.
 CampaignReplay ReplayFromOutcome(const CampaignOutcome& outcome) {
   CampaignReplay replay;
@@ -730,6 +738,7 @@ Status FleetOrchestrator::WriteJsonReport(const FleetResult& result) const {
   report.Raw("summary", std::move(summary).Finish())
       .Raw("journal", std::move(journal).Finish())
       .Raw("campaigns", campaigns);
+  CreateParentDirectories(options_.report_json_path);
   std::ofstream out(options_.report_json_path,
                     std::ios::out | std::ios::trunc);
   if (!out) {
@@ -762,6 +771,7 @@ Status FleetOrchestrator::WriteCsvReport(const FleetResult& result) const {
                     std::to_string(outcome.preemptions),
                     CsvSafe(outcome.detail)});
   }
+  CreateParentDirectories(options_.report_csv_path);
   return WriteCsv(options_.report_csv_path, rows);
 }
 
@@ -793,11 +803,7 @@ FleetResult FleetOrchestrator::Run() {
     std::error_code telemetry_ec;
     std::filesystem::create_directories(TelemetryDir(), telemetry_ec);
   }
-  const std::filesystem::path journal_dir =
-      std::filesystem::path(options_.journal_path).parent_path();
-  if (!journal_dir.empty()) {
-    std::filesystem::create_directories(journal_dir, ec);
-  }
+  CreateParentDirectories(options_.journal_path);
   if (options_.shared) {
     leases_ = std::make_unique<LeaseManager>(
         (std::filesystem::path(options_.checkpoint_dir) / "leases").string(),

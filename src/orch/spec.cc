@@ -6,6 +6,7 @@
 #include <string_view>
 
 #include "defense/detector.h"
+#include "rec/registry.h"
 
 namespace poisonrec::orch {
 
@@ -461,6 +462,10 @@ Status ValidateCampaignSpec(const CampaignSpec& spec) {
   const auto detector = defense::MakeDetector(spec.detector);
   if (!detector.ok()) {
     return Status::InvalidArgument(where + detector.status().message());
+  }
+  const auto ranker = rec::MakeRecommender(spec.ranker);
+  if (!ranker.ok()) {
+    return Status::InvalidArgument(where + ranker.status().message());
   }
   return Status::OK();
 }

@@ -158,6 +158,10 @@ TEST(SpecTest, RejectsUnknownKeysAndBadPlans) {
       ParseFleetPlanText(
           R"({"campaigns":[{"id":"a","defense":true,"detector":"bogus"}]})")
           .ok());
+  // So would an unknown ranker.
+  EXPECT_FALSE(
+      ParseFleetPlanText(R"({"campaigns":[{"id":"a","ranker":"bogus"}]})")
+          .ok());
 }
 
 TEST(SpecTest, AttackerConfigIsGuardedAndSingleThreaded) {
@@ -560,6 +564,37 @@ TEST(FleetTest, UnknownDetectorFailsFastWithoutRestarts) {
   EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
   EXPECT_EQ(result.ExitCode(), 1);
   EXPECT_TRUE(result.outcomes.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetTest, UnknownRankerFailsFastWithoutRestarts) {
+  const std::string dir = TempDir("poisonrec_fleet_badranker");
+  const data::Dataset log = MakeLog();
+  FleetPlan plan = SmallPlan(1);
+  plan.campaigns[0].ranker = "bogus";
+  plan.campaigns[0].max_restarts = 3;
+  FleetOrchestrator orchestrator(plan, &log, DirOptions(dir));
+  const FleetResult result = orchestrator.Run();
+  EXPECT_EQ(result.status.code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(result.ExitCode(), 1);
+  EXPECT_TRUE(result.outcomes.empty());
+  std::filesystem::remove_all(dir);
+}
+
+TEST(FleetTest, CreatesReportDirectories) {
+  // A fleet run from a directory without the reports' parent
+  // directories still writes its reports and exits 0.
+  const std::string dir = TempDir("poisonrec_fleet_reportdirs");
+  const data::Dataset log = MakeLog();
+  FleetOptions options = DirOptions(dir);
+  options.report_json_path = dir + "/results/json/report.json";
+  options.report_csv_path = dir + "/results/csv/report.csv";
+  FleetOrchestrator orchestrator(SmallPlan(1), &log, options);
+  const FleetResult result = orchestrator.Run();
+  ASSERT_TRUE(result.status.ok()) << result.status;
+  EXPECT_EQ(result.ExitCode(), 0);
+  EXPECT_TRUE(std::filesystem::exists(options.report_json_path));
+  EXPECT_TRUE(std::filesystem::exists(options.report_csv_path));
   std::filesystem::remove_all(dir);
 }
 
