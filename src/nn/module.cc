@@ -23,15 +23,6 @@ void Module::ZeroGrad() {
   for (Tensor p : Parameters()) p.ZeroGrad();
 }
 
-void Module::CopyParametersFrom(const Module& other) {
-  std::vector<Tensor> mine = Parameters();
-  std::vector<Tensor> theirs = other.Parameters();
-  POISONREC_CHECK_EQ(mine.size(), theirs.size());
-  for (std::size_t i = 0; i < mine.size(); ++i) {
-    mine[i].CopyDataFrom(theirs[i]);
-  }
-}
-
 // -- Linear -----------------------------------------------------------------
 
 Linear::Linear(std::size_t in_features, std::size_t out_features, Rng* rng) {
@@ -47,6 +38,13 @@ Tensor Linear::Forward(const Tensor& x) const {
 
 std::vector<Tensor> Linear::Parameters() const { return {weight_, bias_}; }
 
+Linear Linear::DeepCopy() const {
+  Linear copy = *this;
+  copy.weight_ = weight_.DeepCopy(weight_.requires_grad());
+  copy.bias_ = bias_.DeepCopy(bias_.requires_grad());
+  return copy;
+}
+
 // -- Embedding ----------------------------------------------------------------
 
 Embedding::Embedding(std::size_t count, std::size_t dim, Rng* rng,
@@ -59,6 +57,12 @@ Tensor Embedding::Forward(const std::vector<std::size_t>& ids) const {
 }
 
 std::vector<Tensor> Embedding::Parameters() const { return {table_}; }
+
+Embedding Embedding::DeepCopy() const {
+  Embedding copy = *this;
+  copy.table_ = table_.DeepCopy(table_.requires_grad());
+  return copy;
+}
 
 // -- Mlp ----------------------------------------------------------------------
 
@@ -85,6 +89,12 @@ std::vector<Tensor> Mlp::Parameters() const {
     for (const Tensor& p : layer.Parameters()) params.push_back(p);
   }
   return params;
+}
+
+Mlp Mlp::DeepCopy() const {
+  Mlp copy = *this;
+  for (Linear& layer : copy.layers_) layer = layer.DeepCopy();
+  return copy;
 }
 
 // -- LstmCell -------------------------------------------------------------
@@ -143,21 +153,25 @@ Tensor GruCell::InitialState(std::size_t batch) const {
 
 Tensor GruCell::Step(const Tensor& x, const Tensor& h) const {
   POISONREC_CHECK_EQ(x.cols(), input_size_);
+  // The two affine blocks stay composed (they feed the threaded GEMMs
+  // and the weight gradients); the gate math is one fused node:
+  // h' = (1-z)*n + z*h.
   Tensor gx = Add(MatMul(x, w_x_), b_x_);  // (B x 3h)
   Tensor gh = Add(MatMul(h, w_h_), b_h_);  // (B x 3h)
-  Tensor z = Sigmoid(Add(Cols(gx, 0, hidden_size_),
-                         Cols(gh, 0, hidden_size_)));
-  Tensor r = Sigmoid(Add(Cols(gx, hidden_size_, hidden_size_),
-                         Cols(gh, hidden_size_, hidden_size_)));
-  Tensor n = Tanh(Add(Cols(gx, 2 * hidden_size_, hidden_size_),
-                      Mul(r, Cols(gh, 2 * hidden_size_, hidden_size_))));
-  // h' = (1 - z) * n + z * h
-  Tensor one_minus_z = AddScalar(Scale(z, -1.0f), 1.0f);
-  return Add(Mul(one_minus_z, n), Mul(z, h));
+  return GruGates(gx, gh, h);
 }
 
 std::vector<Tensor> GruCell::Parameters() const {
   return {w_x_, w_h_, b_x_, b_h_};
+}
+
+GruCell GruCell::DeepCopy() const {
+  GruCell copy = *this;
+  copy.w_x_ = w_x_.DeepCopy(w_x_.requires_grad());
+  copy.w_h_ = w_h_.DeepCopy(w_h_.requires_grad());
+  copy.b_x_ = b_x_.DeepCopy(b_x_.requires_grad());
+  copy.b_h_ = b_h_.DeepCopy(b_h_.requires_grad());
+  return copy;
 }
 
 }  // namespace poisonrec::nn

@@ -26,9 +26,6 @@ class Module {
 
   /// Zeroes every parameter gradient.
   void ZeroGrad();
-
-  /// Copies parameter values from `other` (must have identical topology).
-  void CopyParametersFrom(const Module& other);
 };
 
 /// Affine map y = x W + b with W: (in x out), b: (1 x out).
@@ -38,6 +35,10 @@ class Linear : public Module {
 
   Tensor Forward(const Tensor& x) const;
   std::vector<Tensor> Parameters() const override;
+
+  /// Copy that owns its parameters (same values, zeroed gradients). A
+  /// plain copy of a module aliases its parameter tensors.
+  Linear DeepCopy() const;
 
   const Tensor& weight() const { return weight_; }
   const Tensor& bias() const { return bias_; }
@@ -56,6 +57,8 @@ class Embedding : public Module {
   /// Rows of the table for the given ids -> (|ids| x dim).
   Tensor Forward(const std::vector<std::size_t>& ids) const;
   std::vector<Tensor> Parameters() const override;
+  /// Copy that owns its table (see Linear::DeepCopy).
+  Embedding DeepCopy() const;
 
   const Tensor& table() const { return table_; }
   Tensor& mutable_table() { return table_; }
@@ -74,6 +77,8 @@ class Mlp : public Module {
 
   Tensor Forward(const Tensor& x) const;
   std::vector<Tensor> Parameters() const override;
+  /// Copy that owns its layers' parameters (see Linear::DeepCopy).
+  Mlp DeepCopy() const;
 
   const std::vector<Linear>& layers() const { return layers_; }
 
@@ -124,6 +129,8 @@ class GruCell : public Module {
   Tensor Step(const Tensor& x, const Tensor& h) const;
 
   std::vector<Tensor> Parameters() const override;
+  /// Copy that owns its weights and biases (see Linear::DeepCopy).
+  GruCell DeepCopy() const;
 
   std::size_t hidden_size() const { return hidden_size_; }
   std::size_t input_size() const { return input_size_; }

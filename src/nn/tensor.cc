@@ -1,9 +1,9 @@
 #include "nn/tensor.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cmath>
 #include <cstdint>
-#include <unordered_set>
 
 #include "nn/graph.h"
 #include "nn/kernels.h"
@@ -164,13 +164,6 @@ Tensor Tensor::DeepCopy(bool requires_grad) const {
   return FromData(rows(), cols(), impl_->data, requires_grad);
 }
 
-void Tensor::CopyDataFrom(const Tensor& other) {
-  POISONREC_CHECK(defined() && other.defined());
-  POISONREC_CHECK_EQ(rows(), other.rows());
-  POISONREC_CHECK_EQ(cols(), other.cols());
-  impl_->data = other.impl_->data;
-}
-
 std::string Tensor::ShapeString() const {
   if (!defined()) return "(undefined)";
   return "(" + std::to_string(rows()) + "x" + std::to_string(cols()) + ")";
@@ -178,29 +171,37 @@ std::string Tensor::ShapeString() const {
 
 namespace {
 
-// Every node reachable from `root` through parent edges, in post-order
-// (parents visited in edge order, each node after all of its parents).
-// Backward runs the closures in the reverse of this order. It depends on
-// the parent edges alone, which a GraphTape replay leaves unchanged, so
-// a replayed graph accumulates gradients into shared parents in the
-// same sequence as a fresh tape — two valid topological orders are NOT
-// interchangeable under float accumulation.
+// Every node with a backward closure reachable from `root` through
+// parent edges, in post-order (parents visited in edge order, each node
+// after all of its parents). Backward runs the closures in the reverse
+// of this order. It depends on the parent edges alone, which a GraphTape
+// replay leaves unchanged, so a replayed graph accumulates gradients
+// into shared parents in the same sequence as a fresh tape — two valid
+// topological orders are NOT interchangeable under float accumulation.
+//
+// A node is marked visited by writing this walk's id into its
+// visit_stamp. Leaves (no backward_fn, hence no parents) are skipped
+// without being read or written: they contribute nothing to the order,
+// and the parameters that concurrent fine-tunes share stay untouched.
 std::vector<TensorImpl*> TopologicalOrder(TensorImpl* root) {
-  // Iterative post-order DFS, parents visited in edge order.
+  static std::atomic<std::uint64_t> next_walk{1};
+  const std::uint64_t walk = next_walk.fetch_add(1, std::memory_order_relaxed);
   std::vector<TensorImpl*> order;
-  std::unordered_set<TensorImpl*> visited;
+  if (!root->backward_fn) return order;
+  // Iterative post-order DFS, parents visited in edge order.
   struct Frame {
     TensorImpl* node;
     std::size_t next_parent;
   };
   std::vector<Frame> stack;
   stack.push_back({root, 0});
-  visited.insert(root);
+  root->visit_stamp = walk;
   while (!stack.empty()) {
     Frame& frame = stack.back();
     if (frame.next_parent < frame.node->parents.size()) {
       TensorImpl* parent = frame.node->parents[frame.next_parent++].get();
-      if (visited.insert(parent).second) {
+      if (parent->backward_fn && parent->visit_stamp != walk) {
+        parent->visit_stamp = walk;
         stack.push_back({parent, 0});
       }
     } else {
@@ -230,7 +231,7 @@ void Tensor::Backward(const std::vector<float>& seed) {
   impl_->EnsureGrad();
   for (std::size_t i = 0; i < seed.size(); ++i) impl_->grad[i] += seed[i];
   for (auto it = topo.rbegin(); it != topo.rend(); ++it) {
-    if ((*it)->backward_fn) (*it)->backward_fn();
+    (*it)->backward_fn();
   }
 }
 
@@ -1321,6 +1322,140 @@ LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev) {
       },
       []() {});
 
+  return result;
+}
+
+// ---------------------------------------------------------------------------
+// Fused GRU gate tail
+// ---------------------------------------------------------------------------
+
+namespace {
+
+// Forward for rows [r0, r1). Per element it is the composed chain
+//   z = σ(gx_z + 1·gh_z), r = σ(gx_r + 1·gh_r),
+//   n = tanh(gx_n + 1·(r·gh_n)), h' = ((z·−1) + 1)·n + 1·(z·h_prev)
+// in its op order (Add computes a + 1·b). When `act` is non-null the
+// row's z, r and n are kept there, laid out like gx, for the backward.
+void GruGatesRows(std::size_t r0, std::size_t r1, std::size_t h,
+                  const TensorImpl* gxi, const TensorImpl* ghi,
+                  const TensorImpl* hpi, float* act, TensorImpl* oi) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const float* x = gxi->data.data() + r * 3 * h;
+    const float* g = ghi->data.data() + r * 3 * h;
+    const float* hp = hpi->data.data() + r * h;
+    float* out = oi->data.data() + r * h;
+    float* a = act != nullptr ? act + r * 3 * h : nullptr;
+    for (std::size_t j = 0; j < h; ++j) {
+      const float z = StableSigmoid(x[j] + 1.0f * g[j]);
+      const float rg = StableSigmoid(x[h + j] + 1.0f * g[h + j]);
+      const float n = std::tanh(x[2 * h + j] + 1.0f * (rg * g[2 * h + j]));
+      const float one_minus_z = z * -1.0f + 1.0f;
+      out[j] = one_minus_z * n + 1.0f * (z * hp[j]);
+      if (a != nullptr) {
+        a[j] = z;
+        a[h + j] = rg;
+        a[2 * h + j] = n;
+      }
+    }
+  }
+}
+
+// Backward for rows [r0, r1). Each step below is one composed op's
+// closure, in the order the reverse-topological walk ran them: every
+// intermediate gradient starts from 0 (so 0 + v, exactly as the fresh
+// grad buffers did), an Add passes 0 + 1·g to both operands, and z's
+// two contributions land in the walk's order (Mul(z, h_prev) first,
+// then Scale(z, −1)).
+void GruGatesBackwardRows(std::size_t r0, std::size_t r1, std::size_t h,
+                          TensorImpl* gxi, TensorImpl* ghi, TensorImpl* hpi,
+                          const float* act, const TensorImpl* oi) {
+  for (std::size_t r = r0; r < r1; ++r) {
+    const float* a = act + r * 3 * h;
+    const float* ghv = ghi->data.data() + r * 3 * h;
+    const float* hp = hpi->data.data() + r * h;
+    const float* gout = oi->grad.data() + r * h;
+    float* dgx = gxi->requires_grad ? gxi->grad.data() + r * 3 * h : nullptr;
+    float* dgh = ghi->requires_grad ? ghi->grad.data() + r * 3 * h : nullptr;
+    float* dhp = hpi->requires_grad ? hpi->grad.data() + r * h : nullptr;
+    for (std::size_t j = 0; j < h; ++j) {
+      const float z = a[j];
+      const float rg = a[h + j];
+      const float n = a[2 * h + j];
+      const float one_minus_z = z * -1.0f + 1.0f;
+      // h' = Add(Mul(1 − z, n), Mul(z, h_prev)).
+      const float d_prod = 0.0f + 1.0f * gout[j];
+      // Mul(z, h_prev).
+      float dz = 0.0f + d_prod * hp[j];
+      if (dhp != nullptr) dhp[j] += d_prod * z;
+      // Mul(1 − z, n).
+      const float d_one_minus_z = 0.0f + d_prod * n;
+      const float dn = 0.0f + d_prod * one_minus_z;
+      // Tanh, Add(gx_n, Mul(r, gh_n)), then that Mul.
+      const float dn_sum = 0.0f + 1.0f * (0.0f + dn * (1.0f - n * n));
+      const float dr = 0.0f + dn_sum * ghv[2 * h + j];
+      const float dgh_n = 0.0f + dn_sum * rg;
+      // Sigmoid, then Add(gx_r, gh_r).
+      const float dr_sum = 0.0f + 1.0f * (0.0f + dr * (rg * (1.0f - rg)));
+      // AddScalar(·, 1), then Scale(z, −1).
+      dz += (0.0f + d_one_minus_z * 1.0f) * -1.0f;
+      // Sigmoid, then Add(gx_z, gh_z).
+      const float dz_sum = 0.0f + 1.0f * (0.0f + dz * (z * (1.0f - z)));
+      // The Cols slices scatter into the gate blocks.
+      if (dgh != nullptr) {
+        dgh[j] += dz_sum;
+        dgh[h + j] += dr_sum;
+        dgh[2 * h + j] += dgh_n;
+      }
+      if (dgx != nullptr) {
+        dgx[j] += dz_sum;
+        dgx[h + j] += dr_sum;
+        dgx[2 * h + j] += dn_sum;
+      }
+    }
+  }
+}
+
+}  // namespace
+
+Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h_prev) {
+  const std::size_t rows = h_prev.rows();
+  const std::size_t h = h_prev.cols();
+  POISONREC_CHECK(gx.rows() == rows && gx.cols() == 3 * h)
+      << "GruGates: gx " << gx.ShapeString() << " vs h_prev "
+      << h_prev.ShapeString();
+  POISONREC_CHECK(gh.rows() == rows && gh.cols() == 3 * h)
+      << "GruGates: gh " << gh.ShapeString() << " vs h_prev "
+      << h_prev.ShapeString();
+  auto out = NewNode(rows, h);
+  TensorImpl* gxi = gx.impl().get();
+  TensorImpl* ghi = gh.impl().get();
+  TensorImpl* hpi = h_prev.impl().get();
+  TensorImpl* oi = out.get();
+  const bool track = TrackGrad({&gx, &gh, &h_prev});
+  // z, r, n per element, kept for the backward only when taped.
+  auto act = track ? std::make_shared<std::vector<float>>(rows * 3 * h)
+                   : nullptr;
+  const auto forward = [gxi, ghi, hpi, oi, act, rows, h]() {
+    float* a = act != nullptr ? act->data() : nullptr;
+    kernels::ParallelRows(rows, rows * 3 * h,
+                          [&](std::size_t r0, std::size_t r1) {
+                            GruGatesRows(r0, r1, h, gxi, ghi, hpi, a, oi);
+                          });
+  };
+  forward();
+  Tensor result(out);
+  if (track) {
+    Attach(
+        out, {&gx, &gh, &h_prev},
+        [gxi, ghi, hpi, oi, act, rows, h]() {
+          kernels::ParallelRows(
+              rows, rows * 3 * h, [&](std::size_t r0, std::size_t r1) {
+                GruGatesBackwardRows(r0, r1, h, gxi, ghi, hpi, act->data(),
+                                     oi);
+              });
+        },
+        forward);
+  }
   return result;
 }
 

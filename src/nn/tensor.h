@@ -13,6 +13,7 @@
 #define POISONREC_NN_TENSOR_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
@@ -43,6 +44,10 @@ struct TensorImpl {
   // re-taping it. Null outside recording scopes — zero cost on the
   // normal path.
   std::function<void()> forward_fn;
+  // Id of the last Backward walk that reached this node (see
+  // TopologicalOrder in tensor.cc). Only nodes with a backward_fn are
+  // ever stamped, so leaves shared across threads are never written.
+  std::uint64_t visit_stamp = 0;
 
   float& at(std::size_t r, std::size_t c) { return data[r * cols + c]; }
   float at(std::size_t r, std::size_t c) const { return data[r * cols + c]; }
@@ -144,8 +149,6 @@ class Tensor {
 
   /// Detached deep copy (new leaf; same data; requires_grad as given).
   Tensor DeepCopy(bool requires_grad = false) const;
-  /// Overwrites this tensor's values with `other`'s (shapes must match).
-  void CopyDataFrom(const Tensor& other);
 
   std::string ShapeString() const;
 
@@ -254,6 +257,20 @@ struct LstmGatesResult {
   Tensor c;
 };
 LstmGatesResult LstmGates(const Tensor& preact, const Tensor& c_prev);
+
+/// Fused GRU cell tail: consumes the (B x 3h) input and hidden affine
+/// blocks `gx` = x·W_x + b_x and `gh` = h·W_h + b_h (layout [z | r | n])
+/// and the previous hidden state `h_prev` (B x h), and returns
+/// h' = (1 − z)·n + z·h_prev with z = σ(gx_z + gh_z), r = σ(gx_r + gh_r),
+/// n = tanh(gx_n + r·gh_n), as one tape node.
+///
+/// Both passes keep the exact per-element float sequence of the composed
+/// Cols/Add/Sigmoid/Tanh/Mul/Scale/AddScalar chain (tests/gru_oracle.h),
+/// including each intermediate gradient's accumulation from zero, so
+/// values and gradients are bitwise equal to it. Rows are partitioned
+/// with the kernels' row-ownership contract, so results do not depend on
+/// the thread count.
+Tensor GruGates(const Tensor& gx, const Tensor& gh, const Tensor& h_prev);
 
 // -- Utilities ----------------------------------------------------------
 

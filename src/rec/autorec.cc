@@ -11,6 +11,9 @@ namespace poisonrec::rec {
 AutoRec::Net::Net(std::size_t num_items, std::size_t hidden, Rng* rng)
     : encoder(num_items, hidden, rng), decoder(hidden, num_items, rng) {}
 
+AutoRec::Net::Net(const Net& other)
+    : encoder(other.encoder.DeepCopy()), decoder(other.decoder.DeepCopy()) {}
+
 std::vector<nn::Tensor> AutoRec::Net::Parameters() const {
   std::vector<nn::Tensor> params;
   for (const nn::Tensor& p : encoder.Parameters()) params.push_back(p);
@@ -27,13 +30,9 @@ AutoRec::AutoRec(const AutoRec& other)
       clean_users_(other.clean_users_),
       update_seed_(other.update_seed_) {
   if (other.net_ != nullptr) {
-    Rng rng(0x715bead5ull);
-    net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
+    net_ = std::make_unique<Net>(*other.net_);
+    POISONREC_CHECK_EQ(net_->Parameters().size(),
+                       other.net_->Parameters().size());
   }
 }
 

@@ -32,6 +32,8 @@ class AutoRec : public Recommender {
  private:
   struct Net {
     Net(std::size_t num_items, std::size_t hidden, Rng* rng);
+    /// Deep copy: the clone owns its parameters (same values).
+    Net(const Net& other);
     std::vector<nn::Tensor> Parameters() const;
     nn::Linear encoder;  // |I| -> hidden
     nn::Linear decoder;  // hidden -> |I|

@@ -11,6 +11,9 @@ namespace poisonrec::rec {
 Gru4Rec::Net::Net(std::size_t num_items, std::size_t dim, Rng* rng)
     : items(num_items, dim, rng), gru(dim, dim, rng) {}
 
+Gru4Rec::Net::Net(const Net& other)
+    : items(other.items.DeepCopy()), gru(other.gru.DeepCopy()) {}
+
 std::vector<nn::Tensor> Gru4Rec::Net::Parameters() const {
   std::vector<nn::Tensor> params;
   for (const nn::Tensor& p : items.Parameters()) params.push_back(p);
@@ -27,13 +30,9 @@ Gru4Rec::Gru4Rec(const Gru4Rec& other)
       clean_sequences_(other.clean_sequences_),
       update_seed_(other.update_seed_) {
   if (other.net_ != nullptr) {
-    Rng rng(0x6a09e667ull);
-    net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
+    net_ = std::make_unique<Net>(*other.net_);
+    POISONREC_CHECK_EQ(net_->Parameters().size(),
+                       other.net_->Parameters().size());
   }
 }
 
@@ -56,13 +55,13 @@ nn::Tensor Gru4Rec::Encode(const std::vector<data::ItemId>& sequence) const {
 }
 
 void Gru4Rec::TrainEpochs(
-    const std::vector<std::vector<data::ItemId>>& sequences,
+    const std::vector<const std::vector<data::ItemId>*>& sequences,
     std::size_t epochs, Rng* rng) {
   nn::Adam optimizer(net_->Parameters(), config_.learning_rate, 0.9f, 0.999f,
                      1e-8f, config_.weight_decay);
   std::vector<std::size_t> order;
   for (std::size_t s = 0; s < sequences.size(); ++s) {
-    if (sequences[s].size() >= 2) order.push_back(s);
+    if (sequences[s]->size() >= 2) order.push_back(s);
   }
   const std::size_t n_neg = std::max<std::size_t>(
       4, config_.negatives_per_positive * 4);
@@ -70,7 +69,7 @@ void Gru4Rec::TrainEpochs(
   for (std::size_t epoch = 0; epoch < epochs; ++epoch) {
     rng->Shuffle(&order);
     for (std::size_t s : order) {
-      const std::vector<data::ItemId>& full = sequences[s];
+      const std::vector<data::ItemId>& full = *sequences[s];
       const std::size_t start =
           full.size() > config_.max_sequence_length
               ? full.size() - config_.max_sequence_length
@@ -107,13 +106,14 @@ void Gru4Rec::Fit(const data::Dataset& dataset) {
   num_items_ = dataset.num_items();
   net_ = std::make_unique<Net>(num_items_, config_.embedding_dim, &rng);
   history_.assign(dataset.num_users(), {});
-  std::vector<std::vector<data::ItemId>> sequences;
+  clean_sequences_.assign(dataset.num_users(), {});
+  std::vector<const std::vector<data::ItemId>*> sequences;
   sequences.reserve(dataset.num_users());
   for (data::UserId u = 0; u < dataset.num_users(); ++u) {
     history_[u] = dataset.Sequence(u);
-    sequences.push_back(dataset.Sequence(u));
+    clean_sequences_[u] = dataset.Sequence(u);
+    sequences.push_back(&clean_sequences_[u]);
   }
-  clean_sequences_ = sequences;
   TrainEpochs(sequences, config_.epochs, &rng);
   update_seed_ = rng.Fork();
 }
@@ -125,12 +125,12 @@ void Gru4Rec::Update(const data::Dataset& poison) {
   if (poison.num_users() > history_.size()) {
     history_.resize(poison.num_users());
   }
-  std::vector<std::vector<data::ItemId>> sequences;
+  std::vector<const std::vector<data::ItemId>*> sequences;
   for (data::UserId u = 0; u < poison.num_users(); ++u) {
     const std::vector<data::ItemId>& seq = poison.Sequence(u);
     if (seq.empty()) continue;
     history_[u].insert(history_[u].end(), seq.begin(), seq.end());
-    sequences.push_back(seq);
+    sequences.push_back(&seq);
   }
   // Replay: mix in clean sequences so the model does not collapse onto
   // the poison sessions (see FitConfig::update_replay_ratio).
@@ -140,7 +140,7 @@ void Gru4Rec::Update(const data::Dataset& poison) {
         static_cast<double>(sequences.size()));
     for (std::size_t i = 0; i < extra; ++i) {
       sequences.push_back(
-          clean_sequences_[rng.Index(clean_sequences_.size())]);
+          &clean_sequences_[rng.Index(clean_sequences_.size())]);
     }
   }
   TrainEpochs(sequences, config_.update_epochs, &rng);
@@ -150,9 +150,8 @@ std::vector<double> Gru4Rec::Score(
     data::UserId user, const std::vector<data::ItemId>& candidates) const {
   POISONREC_CHECK(net_ != nullptr) << "Score before Fit";
   nn::NoGradScope no_grad;
-  std::vector<data::ItemId> seq;
-  if (user < history_.size()) seq = history_[user];
-  nn::Tensor h = Encode(seq);
+  static const std::vector<data::ItemId> kNoHistory;
+  nn::Tensor h = Encode(user < history_.size() ? history_[user] : kNoHistory);
   std::vector<std::size_t> cands(candidates.begin(), candidates.end());
   nn::Tensor cand_emb = net_->items.Forward(cands);
   nn::Tensor logits = nn::MatMul(h, nn::Transpose(cand_emb));

@@ -36,6 +36,8 @@ class Gru4Rec : public Recommender {
  private:
   struct Net {
     Net(std::size_t num_items, std::size_t dim, Rng* rng);
+    /// Deep copy: the clone owns its parameters (same values).
+    Net(const Net& other);
     std::vector<nn::Tensor> Parameters() const;
     nn::Embedding items;
     nn::GruCell gru;
@@ -45,8 +47,11 @@ class Gru4Rec : public Recommender {
   /// maximum length; empty sequence -> zero state).
   nn::Tensor Encode(const std::vector<data::ItemId>& sequence) const;
 
-  void TrainEpochs(const std::vector<std::vector<data::ItemId>>& sequences,
-                   std::size_t epochs, Rng* rng);
+  /// Sampled-softmax training over the pointed-to sequences (borrowed,
+  /// not copied; sequences shorter than 2 are skipped).
+  void TrainEpochs(
+      const std::vector<const std::vector<data::ItemId>*>& sequences,
+      std::size_t epochs, Rng* rng);
 
   FitConfig config_;
   std::size_t num_items_ = 0;

@@ -8,10 +8,6 @@
 
 namespace poisonrec::rec {
 
-namespace {
-constexpr std::uint64_t kCloneRngSeed = 0xabcdef12345ull;
-}  // namespace
-
 NeuMf::Net::Net(std::size_t num_users, std::size_t num_items,
                 std::size_t dim, Rng* rng)
     : gmf_user(num_users, dim, rng),
@@ -20,6 +16,14 @@ NeuMf::Net::Net(std::size_t num_users, std::size_t num_items,
       mlp_item(num_items, dim, rng),
       mlp({2 * dim, dim, std::max<std::size_t>(1, dim / 2)}, rng),
       fuse(dim + std::max<std::size_t>(1, dim / 2), 1, rng) {}
+
+NeuMf::Net::Net(const Net& other)
+    : gmf_user(other.gmf_user.DeepCopy()),
+      gmf_item(other.gmf_item.DeepCopy()),
+      mlp_user(other.mlp_user.DeepCopy()),
+      mlp_item(other.mlp_item.DeepCopy()),
+      mlp(other.mlp.DeepCopy()),
+      fuse(other.fuse.DeepCopy()) {}
 
 std::vector<nn::Tensor> NeuMf::Net::Parameters() const {
   std::vector<nn::Tensor> params;
@@ -45,15 +49,9 @@ NeuMf::NeuMf(const NeuMf& other)
       clean_(other.clean_),
       update_seed_(other.update_seed_) {
   if (other.net_ != nullptr) {
-    Rng rng(kCloneRngSeed);
-    net_ = std::make_unique<Net>(num_users_, num_items_,
-                                 config_.embedding_dim, &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    POISONREC_CHECK_EQ(dst.size(), src.size());
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
+    net_ = std::make_unique<Net>(*other.net_);
+    POISONREC_CHECK_EQ(net_->Parameters().size(),
+                       other.net_->Parameters().size());
   }
 }
 

@@ -36,6 +36,8 @@ class NeuMf : public Recommender {
   struct Net {
     Net(std::size_t num_users, std::size_t num_items, std::size_t dim,
         Rng* rng);
+    /// Deep copy: the clone owns its parameters (same values).
+    Net(const Net& other);
     std::vector<nn::Tensor> Parameters() const;
 
     nn::Embedding gmf_user;

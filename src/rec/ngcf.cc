@@ -18,6 +18,11 @@ Ngcf::Net::Net(std::size_t num_nodes, std::size_t dim, std::size_t layers,
   }
 }
 
+Ngcf::Net::Net(const Net& other) : nodes(other.nodes.DeepCopy()) {
+  for (const nn::Linear& layer : other.w1) w1.push_back(layer.DeepCopy());
+  for (const nn::Linear& layer : other.w2) w2.push_back(layer.DeepCopy());
+}
+
 std::vector<nn::Tensor> Ngcf::Net::Parameters() const {
   std::vector<nn::Tensor> params;
   for (const nn::Tensor& p : nodes.Parameters()) params.push_back(p);
@@ -40,15 +45,9 @@ Ngcf::Ngcf(const Ngcf& other)
       clean_(other.clean_),
       update_seed_(other.update_seed_) {
   if (other.net_ != nullptr) {
-    Rng rng(0x3c6ef372ull);
-    net_ = std::make_unique<Net>(num_users_ + num_items_,
-                                 config_.embedding_dim, config_.num_layers,
-                                 &rng);
-    std::vector<nn::Tensor> dst = net_->Parameters();
-    std::vector<nn::Tensor> src = other.net_->Parameters();
-    for (std::size_t i = 0; i < dst.size(); ++i) {
-      dst[i].CopyDataFrom(src[i]);
-    }
+    net_ = std::make_unique<Net>(*other.net_);
+    POISONREC_CHECK_EQ(net_->Parameters().size(),
+                       other.net_->Parameters().size());
     RebuildGraph();
     if (other.cached_final_.defined()) {
       cached_final_ = other.cached_final_.DeepCopy();

@@ -42,6 +42,8 @@ class Ngcf : public Recommender {
   struct Net {
     Net(std::size_t num_nodes, std::size_t dim, std::size_t layers,
         Rng* rng);
+    /// Deep copy: the clone owns its parameters (same values).
+    Net(const Net& other);
     std::vector<nn::Tensor> Parameters() const;
     nn::Embedding nodes;  // (U+I) x dim
     std::vector<nn::Linear> w1;

@@ -76,18 +76,30 @@ TEST(MlpTest, HiddenReluFinalLinear) {
   EXPECT_EQ(mlp.Parameters().size(), 4u);
 }
 
-TEST(MlpTest, CopyParametersFrom) {
-  Rng rng1(6);
-  Rng rng2(7);
-  Mlp a({3, 3}, &rng1);
-  Mlp b({3, 3}, &rng2);
-  b.CopyParametersFrom(a);
-  Tensor x = Tensor::Ones(1, 3);
-  Tensor ya = a.Forward(x);
-  Tensor yb = b.Forward(x);
-  for (std::size_t i = 0; i < ya.size(); ++i) {
-    EXPECT_FLOAT_EQ(ya.data()[i], yb.data()[i]);
+// A deep copy has the same values in parameter tensors of its own, so
+// training the copy leaves the original untouched.
+void ExpectOwnedCopy(const Module& original, const Module& copy) {
+  const std::vector<Tensor> a = original.Parameters();
+  const std::vector<Tensor> b = copy.Parameters();
+  ASSERT_EQ(a.size(), b.size());
+  for (std::size_t i = 0; i < a.size(); ++i) {
+    EXPECT_NE(a[i].impl(), b[i].impl()) << "parameter " << i;
+    EXPECT_EQ(a[i].data(), b[i].data()) << "parameter " << i;
+    EXPECT_EQ(a[i].requires_grad(), b[i].requires_grad());
+    Tensor bi = b[i];
+    bi.mutable_data()[0] += 1.0f;
+    EXPECT_NE(a[i].data(), b[i].data()) << "parameter " << i;
   }
+}
+
+TEST(DeepCopyTest, ModulesOwnTheirParameters) {
+  Rng rng(6);
+  const Mlp mlp({3, 4, 2}, &rng);
+  ExpectOwnedCopy(mlp, mlp.DeepCopy());
+  const Embedding emb(5, 3, &rng);
+  ExpectOwnedCopy(emb, emb.DeepCopy());
+  const GruCell gru(3, 4, &rng);
+  ExpectOwnedCopy(gru, gru.DeepCopy());
 }
 
 TEST(LstmTest, StepShapesAndStateEvolution) {

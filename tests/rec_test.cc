@@ -10,10 +10,12 @@
 #include <gtest/gtest.h>
 
 #include "data/synthetic.h"
+#include "env/environment.h"
 #include "rec/bpr.h"
 #include "rec/covisitation.h"
 #include "rec/itempop.h"
 #include "rec/pmf.h"
+#include "util/parallel.h"
 #include "util/random.h"
 
 namespace poisonrec::rec {
@@ -189,6 +191,56 @@ TEST_P(AllRecommendersTest, FittedBeatsColdItemsOnPopular) {
 INSTANTIATE_TEST_SUITE_P(AllAlgorithms, AllRecommendersTest,
                          ::testing::ValuesIn(ExtendedRecommenderNames()),
                          [](const auto& info) { return info.param; });
+
+// The reward queries of one PPO step run concurrently: each clones the
+// pretrained ranker and fine-tunes the clone on its own thread. Those
+// fine-tunes share only the pretrained parameters (read, never written)
+// and must give the bits a one-at-a-time run gives.
+TEST(ConcurrentFineTuneTest, ParallelEvaluateMatchesSequential) {
+  data::SyntheticConfig log_cfg;
+  log_cfg.num_users = 40;
+  log_cfg.num_items = 30;
+  log_cfg.num_interactions = 400;
+  log_cfg.seed = 23;
+  const data::Dataset base = data::GenerateSynthetic(log_cfg);
+  env::EnvironmentConfig env_cfg;
+  env_cfg.num_attackers = 4;
+  env_cfg.trajectory_length = 6;
+  env_cfg.num_target_items = 3;
+  env_cfg.num_candidate_originals = 10;
+  env_cfg.top_k = 5;
+  env_cfg.seed = 17;
+  std::vector<std::unique_ptr<env::AttackEnvironment>> envs;
+  for (const char* name : {"GRU4Rec", "NeuMF"}) {
+    envs.push_back(std::make_unique<env::AttackEnvironment>(
+        base, MakeRecommender(name, FastConfig()).value(), env_cfg));
+  }
+  // Four poison logs per ranker, mixing target and original clicks.
+  constexpr std::size_t kLogs = 4;
+  Rng rng(29);
+  std::vector<std::vector<env::Trajectory>> logs(kLogs);
+  for (std::vector<env::Trajectory>& log : logs) {
+    for (std::size_t n = 0; n < env_cfg.num_attackers; ++n) {
+      env::Trajectory t{n, {}};
+      for (std::size_t k = 0; k < env_cfg.trajectory_length; ++k) {
+        t.items.push_back(rng.Uniform() < 0.5 ? 30 + rng.Index(3)
+                                              : rng.Index(30));
+      }
+      log.push_back(std::move(t));
+    }
+  }
+  const std::size_t queries = envs.size() * kLogs;
+  const auto evaluate = [&](std::size_t q) {
+    return envs[q / kLogs]->Evaluate(logs[q % kLogs]);
+  };
+  std::vector<double> sequential(queries);
+  for (std::size_t q = 0; q < queries; ++q) sequential[q] = evaluate(q);
+  std::vector<double> parallel(queries);
+  ParallelFor(queries, 4, [&](std::size_t q) { parallel[q] = evaluate(q); });
+  EXPECT_EQ(parallel, sequential);
+  EXPECT_TRUE(std::any_of(sequential.begin(), sequential.end(),
+                          [](double r) { return r > 0.0; }));
+}
 
 TEST(RegistryTest, UnknownNameIsNotFound) {
   auto rec = MakeRecommender("svd++");

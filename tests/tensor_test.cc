@@ -6,11 +6,15 @@
 #include <cmath>
 #include <functional>
 #include <thread>
+#include <tuple>
 
 #include <gtest/gtest.h>
 
+#include "gru_oracle.h"
 #include "nn/graph.h"
 #include "nn/kernels.h"
+#include "nn/loss.h"
+#include "nn/optimizer.h"
 #include "tree_path_oracle.h"
 #include "util/random.h"
 
@@ -383,6 +387,41 @@ TEST(TensorGrad, DeepChainStaysFinite) {
   }
 }
 
+TEST(TapeWalkTest, FourContributionsSumInReverseTopologicalOrder) {
+  // Four gradients meet y. Their values make float addition order
+  // visible: each order of the last two additions rounds differently.
+  const float a = -33554432.0f, b = 1.5f, c = 33554432.0f, d = 1.25f;
+  Tensor x = Tensor::FromData(1, 1, {1.0f}, true);
+  Tensor y = Scale(x, 1.0f);
+  Tensor ca = Scale(y, a);
+  Tensor cb = Scale(y, b);
+  Tensor cc = Scale(y, c);
+  Tensor cd = Scale(y, d);
+  Tensor loss = Add(Add(cc, ca), Add(cd, cb));
+  loss.Backward();
+  // Post-order DFS (parents in edge order): y, cc, ca, Add(cc, ca), cd,
+  // cb, Add(cd, cb), loss. Backward runs it reversed, so y receives
+  // cb, cd, ca, cc — in that order, each onto the running sum.
+  const float expected = (((0.0f + b) + d) + a) + c;
+  EXPECT_EQ(y.grad()[0], expected);
+  EXPECT_EQ(x.grad()[0], expected);
+  // The reverse creation order (cd, cc, cb, ca) sums to another value,
+  // so a walk that reorders these closures fails the checks above.
+  EXPECT_NE(expected, (((0.0f + d) + c) + b) + a);
+}
+
+TEST(TapeWalkTest, LaterWalkRevisitsNodesAnEarlierWalkMarked) {
+  // Each walk marks nodes with its own id, so a second Backward through
+  // t (already marked by the first) still runs t's closure.
+  Tensor x = Tensor::FromData(1, 1, {1.0f}, true);
+  Tensor t = Scale(x, 2.0f);
+  Sum(t).Backward();  // t.grad = 1, x.grad = 2
+  EXPECT_EQ(x.grad()[0], 2.0f);
+  Sum(Scale(t, 3.0f)).Backward();  // t.grad = 1 + 3, x.grad = 2 + 4·2
+  EXPECT_EQ(t.grad()[0], 4.0f);
+  EXPECT_EQ(x.grad()[0], 10.0f);
+}
+
 // Property sweep: random graphs of mixed ops gradient-check cleanly.
 class MixedGraphGradTest : public ::testing::TestWithParam<int> {};
 
@@ -573,6 +612,232 @@ TEST(TreePathLogProbTest, NumericalGradients) {
   CheckGradient(c.q.DeepCopy(true), graph_of(0));
   CheckGradient(c.item.DeepCopy(true), graph_of(1));
   CheckGradient(c.node.DeepCopy(true), graph_of(2));
+}
+
+// ---------------------------------------------------------------------------
+// GruGates against the composed oracle chain
+// ---------------------------------------------------------------------------
+
+using GatesFn = Tensor (*)(const Tensor&, const Tensor&, const Tensor&);
+using testing::ComposedGruGates;
+
+// GRU4Rec's parameters: item table plus one GRU cell's weights and
+// biases (random biases, so the bias gradients are not trivial).
+struct GruModel {
+  Tensor table, w_x, w_h, b_x, b_h;
+
+  std::vector<Tensor> Parameters() const {
+    return {table, w_x, w_h, b_x, b_h};
+  }
+  GruModel DeepCopy() const {
+    return {table.DeepCopy(true), w_x.DeepCopy(true), w_h.DeepCopy(true),
+            b_x.DeepCopy(true), b_h.DeepCopy(true)};
+  }
+};
+
+GruModel MakeGruModel(std::size_t items, std::size_t dim,
+                      std::uint64_t seed) {
+  Rng rng(seed);
+  return {Tensor::Randn(items, dim, 0.3f, &rng, true),
+          Tensor::Randn(dim, 3 * dim, 0.3f, &rng, true),
+          Tensor::Randn(dim, 3 * dim, 0.3f, &rng, true),
+          Tensor::Randn(1, 3 * dim, 0.1f, &rng, true),
+          Tensor::Randn(1, 3 * dim, 0.1f, &rng, true)};
+}
+
+// The taped per-step nodes of one sequence, for gradient comparisons.
+struct GruTape {
+  std::vector<Tensor> gx, gh, h;
+};
+
+// GRU4Rec's loss on one sequence (Gru4Rec::TrainEpochs): per position a
+// GRU step, a sampled softmax of the next item against `negatives` items
+// drawn from `seed`, the step losses chained with Add, then scaled by
+// 1/steps.
+Tensor GruSequenceLoss(const GruModel& m, GatesFn gates,
+                       const std::vector<std::size_t>& seq,
+                       std::size_t negatives, std::uint64_t seed,
+                       GruTape* tape = nullptr) {
+  Rng rng(seed);
+  Tensor h = Tensor::Zeros(1, m.w_h.rows());
+  Tensor loss;
+  std::size_t steps = 0;
+  for (std::size_t p = 0; p + 1 < seq.size(); ++p) {
+    Tensor x = Rows(m.table, {seq[p]});
+    Tensor gx = Add(MatMul(x, m.w_x), m.b_x);
+    Tensor gh = Add(MatMul(h, m.w_h), m.b_h);
+    h = gates(gx, gh, h);
+    if (tape != nullptr) {
+      tape->gx.push_back(gx);
+      tape->gh.push_back(gh);
+      tape->h.push_back(h);
+    }
+    std::vector<std::size_t> cands = {seq[p + 1]};
+    for (std::size_t n = 0; n < negatives; ++n) {
+      cands.push_back(rng.Index(m.table.rows()));
+    }
+    Tensor logits = MatMul(h, Transpose(Rows(m.table, cands)));
+    Tensor step_loss = SoftmaxCrossEntropy(logits, {0});
+    loss = steps == 0 ? step_loss : Add(loss, step_loss);
+    ++steps;
+  }
+  return Scale(loss, 1.0f / static_cast<float>(steps));
+}
+
+const std::vector<std::size_t> kGruSequence = {3, 17, 5, 5, 28, 0, 11, 3,
+                                               22, 9, 14, 30, 7};
+
+TEST(GruGatesTest, SequenceForwardAndGradientsBitwiseEqualComposedChain) {
+  const GruModel fused_model = MakeGruModel(31, 8, 301);
+  const GruModel oracle_model = fused_model.DeepCopy();
+  GruTape fused_tape, oracle_tape;
+  Tensor fused = GruSequenceLoss(fused_model, GruGates, kGruSequence, 6, 302,
+                                 &fused_tape);
+  Tensor oracle = GruSequenceLoss(oracle_model, ComposedGruGates,
+                                  kGruSequence, 6, 302, &oracle_tape);
+  EXPECT_EQ(fused.item(), oracle.item());
+  fused.Backward();
+  oracle.Backward();
+  ASSERT_EQ(fused_tape.h.size(), kGruSequence.size() - 1);
+  for (std::size_t t = 0; t < fused_tape.h.size(); ++t) {
+    EXPECT_EQ(fused_tape.h[t].data(), oracle_tape.h[t].data()) << "step " << t;
+    EXPECT_EQ(fused_tape.gx[t].grad(), oracle_tape.gx[t].grad())
+        << "step " << t;
+    EXPECT_EQ(fused_tape.gh[t].grad(), oracle_tape.gh[t].grad())
+        << "step " << t;
+    // h_t is step t+1's h_prev.
+    EXPECT_EQ(fused_tape.h[t].grad(), oracle_tape.h[t].grad()) << "step " << t;
+  }
+  const std::vector<Tensor> fp = fused_model.Parameters();
+  const std::vector<Tensor> op = oracle_model.Parameters();
+  for (std::size_t i = 0; i < fp.size(); ++i) {
+    EXPECT_EQ(fp[i].grad(), op[i].grad()) << "parameter " << i;
+    EXPECT_TRUE(std::any_of(fp[i].grad().begin(), fp[i].grad().end(),
+                            [](float g) { return g != 0.0f; }))
+        << "parameter " << i << " got no gradient";
+  }
+}
+
+TEST(GruGatesTest, AdamStepsBitwiseEqualComposedChain) {
+  const GruModel fused_model = MakeGruModel(31, 8, 303);
+  const GruModel oracle_model = fused_model.DeepCopy();
+  // Gru4Rec::TrainEpochs' optimizer settings.
+  Adam fused_opt(fused_model.Parameters(), 0.05f, 0.9f, 0.999f, 1e-8f, 1e-4f);
+  Adam oracle_opt(oracle_model.Parameters(), 0.05f, 0.9f, 0.999f, 1e-8f,
+                  1e-4f);
+  for (std::uint64_t step = 0; step < 20; ++step) {
+    std::vector<std::size_t> seq = kGruSequence;
+    std::rotate(seq.begin(), seq.begin() + step % seq.size(), seq.end());
+    for (auto [model, opt, gates] :
+         {std::tuple{&fused_model, &fused_opt, GatesFn{GruGates}},
+          std::tuple{&oracle_model, &oracle_opt, GatesFn{ComposedGruGates}}}) {
+      opt->ZeroGrad();
+      GruSequenceLoss(*model, gates, seq, 6, 400 + step).Backward();
+      opt->Step();
+    }
+  }
+  const std::vector<Tensor> fp = fused_model.Parameters();
+  const std::vector<Tensor> op = oracle_model.Parameters();
+  for (std::size_t i = 0; i < fp.size(); ++i) {
+    EXPECT_EQ(fp[i].data(), op[i].data()) << "parameter " << i;
+  }
+  EXPECT_EQ(fused_opt.first_moments(), oracle_opt.first_moments());
+  EXPECT_EQ(fused_opt.second_moments(), oracle_opt.second_moments());
+  // The parameters moved, so the comparison covered real updates.
+  EXPECT_NE(fused_model.w_x.data(), MakeGruModel(31, 8, 303).w_x.data());
+}
+
+struct GruGatesCase {
+  Tensor gx, gh, h_prev, weights;
+};
+
+GruGatesCase MakeGruGatesCase(std::size_t rows, std::size_t h,
+                              std::uint64_t seed) {
+  Rng rng(seed);
+  return {Tensor::Randn(rows, 3 * h, 1.0f, &rng, true),
+          Tensor::Randn(rows, 3 * h, 1.0f, &rng, true),
+          Tensor::Randn(rows, h, 1.0f, &rng, true),
+          Tensor::Randn(rows, h, 1.0f, &rng)};
+}
+
+struct GruGatesRun {
+  std::vector<float> out, dgx, dgh, dh;
+};
+
+// Forward + backward of sum(weights ⊙ gates(c)), from zeroed gradients.
+GruGatesRun RunGruGates(const GruGatesCase& c, GatesFn gates) {
+  for (const Tensor* t : {&c.gx, &c.gh, &c.h_prev}) {
+    t->impl()->grad.assign(t->size(), 0.0f);
+  }
+  Tensor out = gates(c.gx, c.gh, c.h_prev);
+  Sum(Mul(out, c.weights)).Backward();
+  return {out.data(), c.gx.grad(), c.gh.grad(), c.h_prev.grad()};
+}
+
+void ExpectSameRun(const GruGatesRun& a, const GruGatesRun& b) {
+  EXPECT_EQ(a.out, b.out);
+  EXPECT_EQ(a.dgx, b.dgx);
+  EXPECT_EQ(a.dgh, b.dgh);
+  EXPECT_EQ(a.dh, b.dh);
+}
+
+TEST(GruGatesTest, ThreadCountInvariantAboveParallelThreshold) {
+  // rows·3h well above the kernels' threading threshold.
+  const GruGatesCase c = MakeGruGatesCase(512, 32, 304);
+  ASSERT_GT(512u * 3 * 32, std::size_t{1} << 15);
+  GruGatesRun one, many;
+  {
+    ThreadBudget budget(1);
+    one = RunGruGates(c, GruGates);
+  }
+  {
+    ThreadBudget budget(ManyThreads());
+    many = RunGruGates(c, GruGates);
+  }
+  ExpectSameRun(one, many);
+  ExpectSameRun(many, RunGruGates(c, ComposedGruGates));
+  NoGradScope no_grad;  // the untaped forward computes the same values
+  EXPECT_EQ(GruGates(c.gx, c.gh, c.h_prev).data(), many.out);
+}
+
+TEST(GruGatesTest, GraphReplayMatchesFreshTape) {
+  GruGatesCase c = MakeGruGatesCase(7, 5, 305);
+  GraphTape tape;
+  Tensor out;
+  {
+    GraphTape::RecordScope record(&tape);
+    out = GruGates(c.gx, c.gh, c.h_prev);
+  }
+  // New leaf values, as after an optimizer step, then replay.
+  Rng rng(8);
+  for (Tensor* t : {&c.gx, &c.gh, &c.h_prev}) {
+    for (float& v : t->mutable_data()) {
+      v += static_cast<float>(rng.Normal(0.0, 0.3));
+    }
+    t->impl()->grad.assign(t->size(), 0.0f);
+  }
+  tape.ReplayForward();
+  tape.ZeroGrads();
+  // d/d out of sum(weights ⊙ out) is the weights, bit for bit.
+  out.Backward(c.weights.data());
+  const GruGatesRun replayed = {out.data(), c.gx.grad(), c.gh.grad(),
+                                c.h_prev.grad()};
+  ExpectSameRun(replayed, RunGruGates(c, GruGates));
+  ExpectSameRun(replayed, RunGruGates(c, ComposedGruGates));
+}
+
+TEST(GruGatesTest, NumericalGradients) {
+  const GruGatesCase c = MakeGruGatesCase(3, 4, 306);
+  const auto graph_of = [&c](int which) {
+    return [&c, which](const Tensor& x) {
+      return Sum(Mul(GruGates(which == 0 ? x : c.gx, which == 1 ? x : c.gh,
+                              which == 2 ? x : c.h_prev),
+                     c.weights));
+    };
+  };
+  CheckGradient(c.gx.DeepCopy(true), graph_of(0));
+  CheckGradient(c.gh.DeepCopy(true), graph_of(1));
+  CheckGradient(c.h_prev.DeepCopy(true), graph_of(2));
 }
 
 // ---------------------------------------------------------------------------

@@ -383,8 +383,9 @@ fsck_expect journal_torn_tail 2 'torn_tail'
 # kernels, threaded elementwise ops, the fused tree-path log-prob op and
 # threaded sparse matmuls; ppo_test's attackers default num_threads to
 # the hardware concurrency, so it drives threaded sampling and kernels
-# through the whole PPO update, and optimizer_test drives Adam's threaded
-# element loop. Run these tests under ThreadSanitizer
+# through the whole PPO update, optimizer_test drives Adam's threaded
+# element loop, and rec_test fine-tunes ranker clones concurrently (the
+# reward queries of one step). Run these tests under ThreadSanitizer
 # (incompatible with ASan, hence the separate build tree).
 TSAN_DIR="${BUILD_DIR}-tsan"
 cmake -B "${TSAN_DIR}" -S . \
@@ -394,7 +395,7 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
   --target orch_test lease_test fleet_recovery_test fleet_shared_test \
            fsck_chaos_test fleet_status_test status_test \
            batched_engine_test tensor_test policy_test ppo_test \
-           optimizer_test
+           optimizer_test rec_test
 "${TSAN_DIR}/tests/orch_test"
 "${TSAN_DIR}/tests/lease_test"
 "${TSAN_DIR}/tests/fleet_recovery_test"
@@ -407,5 +408,6 @@ cmake --build "${TSAN_DIR}" -j "$(nproc)" \
 "${TSAN_DIR}/tests/policy_test"
 "${TSAN_DIR}/tests/ppo_test"
 "${TSAN_DIR}/tests/optimizer_test"
+"${TSAN_DIR}/tests/rec_test"
 
 echo "ci_check: OK"
