@@ -227,10 +227,13 @@ int Run() {
       // Wait for the victim's first committed step so the submission
       // arrives mid-run.
       for (int i = 0; i < 20000; ++i) {
-        auto replay = orch::FleetJournal::ReplayFile(options.journal_path);
+        auto replay = orch::FleetJournal::Replay({options.journal_path});
         if (replay.ok()) {
-          const auto it = replay->find("low");
-          if (it != replay->end() && it->second.steps_completed >= 1) break;
+          const auto it = replay->campaigns.find("low");
+          if (it != replay->campaigns.end() &&
+              it->second.steps_completed >= 1) {
+            break;
+          }
         }
         std::this_thread::sleep_for(std::chrono::milliseconds(1));
       }
@@ -241,10 +244,10 @@ int Run() {
       const auto submit_time = std::chrono::steady_clock::now();
       if (!orchestrator.Submit(high).ok()) return;
       for (int i = 0; i < 60000; ++i) {
-        auto replay = orch::FleetJournal::ReplayFile(options.journal_path);
+        auto replay = orch::FleetJournal::Replay({options.journal_path});
         if (replay.ok()) {
-          const auto it = replay->find("high");
-          if (it != replay->end() &&
+          const auto it = replay->campaigns.find("high");
+          if (it != replay->campaigns.end() &&
               it->second.state != orch::CampaignState::kPending) {
             latency = std::chrono::duration<double>(
                           std::chrono::steady_clock::now() - submit_time)

@@ -3,17 +3,14 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
-#include <filesystem>
-#include <fstream>
 #include <limits>
 #include <optional>
-#include <sstream>
 
 #include "nn/graph.h"
 #include "obs/json.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "util/bytes.h"
 #include "util/fsio.h"
 #include "util/logging.h"
 #include "util/parallel.h"
@@ -23,7 +20,8 @@ namespace poisonrec::core {
 
 namespace {
 
-// Attacker checkpoint framing ("PRCK", version 1). Payload layout:
+// Attacker checkpoint framing ("PRCK", version 1). Payload layout, all
+// fields little-endian via util/bytes:
 //   u64 steps_taken
 //   policy parameters: u64 count, then per tensor u64 rows, u64 cols,
 //     float32 payload
@@ -60,34 +58,10 @@ constexpr std::uint32_t kCheckpointVersion = 4;
 constexpr std::size_t kCheckpointHeaderBytes = 2 * sizeof(std::uint32_t);
 constexpr std::uint64_t kDeadSlotTag = ~0ull;
 
-void WriteU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteF64(std::ostream& out, double v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-void WriteFloats(std::ostream& out, const std::vector<float>& v) {
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(float)));
-}
-
-bool ReadU64(std::istream& in, std::uint64_t* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadF64(std::istream& in, double* v) {
-  in.read(reinterpret_cast<char*>(v), sizeof(*v));
-  return static_cast<bool>(in);
-}
-
-bool ReadFloats(std::istream& in, std::vector<float>* v) {
-  in.read(reinterpret_cast<char*>(v->data()),
-          static_cast<std::streamsize>(v->size() * sizeof(float)));
-  return static_cast<bool>(in);
-}
+// Minimum encoded sizes of the best episode's variable-length records,
+// which bound their counts before anything is allocated for them.
+constexpr std::size_t kMinTrajectoryBytes = 2 * sizeof(std::uint64_t);
+constexpr std::size_t kMinStepBytes = 3 * sizeof(std::uint64_t);
 
 }  // namespace
 
@@ -899,8 +873,10 @@ Status VerifyCheckpointFraming(std::string_view bytes,
                                FileIntegrity* integrity) {
   FileIntegrity local = FileIntegrity::kOk;
   if (integrity == nullptr) integrity = &local;
-  std::uint32_t header[2] = {0, 0};
-  if (bytes.size() < kCheckpointHeaderBytes) {
+  ByteReader header(bytes);
+  const std::uint32_t magic = header.U32();
+  const std::uint32_t version = header.U32();
+  if (!header.ok()) {
     // Zero-length or short file: the writer (or the filesystem, after a
     // crash without the fsync path) lost the payload.
     *integrity = FileIntegrity::kTorn;
@@ -908,16 +884,15 @@ Status VerifyCheckpointFraming(std::string_view bytes,
                             ": shorter than the checkpoint header (torn "
                             "publish)");
   }
-  std::memcpy(header, bytes.data(), kCheckpointHeaderBytes);
   *integrity = FileIntegrity::kCorrupt;
-  if (header[0] != kCheckpointMagic) {
+  if (magic != kCheckpointMagic) {
     return Status::InvalidArgument(path +
                                    ": not a PoisonRec attacker checkpoint");
   }
-  if (header[1] != kCheckpointVersion) {
+  if (version != kCheckpointVersion) {
     std::string hint;
-    if (header[1] < kCheckpointVersion) {
-      hint = " (version " + std::to_string(header[1]) +
+    if (version < kCheckpointVersion) {
+      hint = " (version " + std::to_string(version) +
              " predates the v" + std::to_string(kCheckpointVersion) +
              " format's per-episode sampling streams and whole-file "
              "checksum; re-run the campaign to produce a current "
@@ -926,7 +901,7 @@ Status VerifyCheckpointFraming(std::string_view bytes,
     return Status::InvalidArgument(path +
                                    ": unsupported attacker checkpoint "
                                    "version " +
-                                   std::to_string(header[1]) + hint);
+                                   std::to_string(version) + hint);
   }
   // The header names a current checkpoint — now the integrity footer
   // decides whether the rest of the bytes can be trusted: a length
@@ -941,81 +916,69 @@ Status PoisonRecAttacker::SaveCheckpoint(const std::string& path) const {
   // Serialize into memory first: the payload needs a whole-file CRC
   // before any byte touches disk, and the in-memory size is trivial
   // next to the fsyncs the durable publish costs anyway.
-  std::ostringstream out;
-  {
-    const std::uint32_t header[2] = {kCheckpointMagic, kCheckpointVersion};
-    out.write(reinterpret_cast<const char*>(header), sizeof(header));
-    WriteU64(out, steps_taken_);
-    // v3: the sampling stream-derivation state. Together with
-    // steps_taken this pins every future episode's Rng stream, so a
-    // resumed campaign samples exactly what the uninterrupted one would.
-    WriteU64(out, config_.seed);
+  ByteWriter out;
+  out.U32(kCheckpointMagic);
+  out.U32(kCheckpointVersion);
+  out.U64(steps_taken_);
+  // v3: the sampling stream-derivation state. Together with steps_taken
+  // this pins every future episode's Rng stream, so a resumed campaign
+  // samples exactly what the uninterrupted one would.
+  out.U64(config_.seed);
 
-    const std::vector<nn::Tensor> params = policy_->Parameters();
-    WriteU64(out, params.size());
-    for (const nn::Tensor& p : params) {
-      WriteU64(out, p.rows());
-      WriteU64(out, p.cols());
-      WriteFloats(out, p.data());
-    }
-
-    WriteU64(out, optimizer_->step_count());
-    for (const std::vector<float>& m : optimizer_->first_moments()) {
-      WriteFloats(out, m);
-    }
-    for (const std::vector<float>& v : optimizer_->second_moments()) {
-      WriteFloats(out, v);
-    }
-
-    const std::string rng_state = rng_.SerializeState();
-    WriteU64(out, rng_state.size());
-    out.write(rng_state.data(),
-              static_cast<std::streamsize>(rng_state.size()));
-
-    WriteF64(out, best_episode_.reward);
-    out.put(best_episode_.reward_observed ? 1 : 0);
-    WriteU64(out, best_episode_.trajectories.size());
-    for (const SampledTrajectory& traj : best_episode_.trajectories) {
-      WriteU64(out, traj.attacker_index);
-      WriteU64(out, traj.steps.size());
-      for (const SampledStep& step : traj.steps) {
-        WriteU64(out, step.item);
-        WriteU64(out, step.path.size());
-        for (int node : step.path) {
-          const std::int32_t n32 = node;
-          out.write(reinterpret_cast<const char*>(&n32), sizeof(n32));
-        }
-        WriteU64(out, step.old_log_probs.size());
-        for (double lp : step.old_log_probs) WriteF64(out, lp);
-      }
-    }
-
-    // v2: adaptive-defender campaign state (pool + platform ban state).
-    out.put(pool_ != nullptr ? 1 : 0);
-    if (pool_ != nullptr) {
-      WriteU64(out, pool_->num_slots());
-      WriteU64(out, pool_->total_accounts());
-      WriteU64(out, pool_->next_account());
-      WriteU64(out, pool_->retired_accounts());
-      for (std::size_t a : pool_->slot_accounts()) {
-        WriteU64(out, a == AccountPool::kDeadSlot ? kDeadSlotTag
-                                                  : static_cast<std::uint64_t>(a));
-      }
-    }
-    out.put(defended_ != nullptr ? 1 : 0);
-    if (defended_ != nullptr) {
-      const std::string blob = defended_->SerializeState();
-      WriteU64(out, blob.size());
-      out.write(blob.data(), static_cast<std::streamsize>(blob.size()));
-    }
-    if (!out) return Status::IoError("serialize failed for " + path);
+  const std::vector<nn::Tensor> params = policy_->Parameters();
+  out.U64(params.size());
+  for (const nn::Tensor& p : params) {
+    out.U64(p.rows());
+    out.U64(p.cols());
+    out.Floats(p.data());
   }
+
+  out.U64(optimizer_->step_count());
+  for (const std::vector<float>& m : optimizer_->first_moments()) {
+    out.Floats(m);
+  }
+  for (const std::vector<float>& v : optimizer_->second_moments()) {
+    out.Floats(v);
+  }
+
+  out.String(rng_.SerializeState());
+
+  out.F64(best_episode_.reward);
+  out.U8(best_episode_.reward_observed ? 1 : 0);
+  out.U64(best_episode_.trajectories.size());
+  for (const SampledTrajectory& traj : best_episode_.trajectories) {
+    out.U64(traj.attacker_index);
+    out.U64(traj.steps.size());
+    for (const SampledStep& step : traj.steps) {
+      out.U64(step.item);
+      out.U64(step.path.size());
+      for (int node : step.path) out.I32(node);
+      out.U64(step.old_log_probs.size());
+      for (double lp : step.old_log_probs) out.F64(lp);
+    }
+  }
+
+  // v2: adaptive-defender campaign state (pool + platform ban state).
+  out.U8(pool_ != nullptr ? 1 : 0);
+  if (pool_ != nullptr) {
+    out.U64(pool_->num_slots());
+    out.U64(pool_->total_accounts());
+    out.U64(pool_->next_account());
+    out.U64(pool_->retired_accounts());
+    for (std::size_t a : pool_->slot_accounts()) {
+      out.U64(a == AccountPool::kDeadSlot ? kDeadSlotTag
+                                          : static_cast<std::uint64_t>(a));
+    }
+  }
+  out.U8(defended_ != nullptr ? 1 : 0);
+  if (defended_ != nullptr) out.String(defended_->SerializeState());
+
   // Durable atomic publish with the integrity footer appended: write
   // tmp, fsync, rename, fsync the parent directory — so the published
   // name can never refer to unwritten data after a power loss, and a
   // crash before the rename leaves any previous checkpoint at `path`
   // untouched. The footer's CRC lets load verify every byte.
-  return WriteFileDurableChecksummed(path, std::move(out).str());
+  return WriteFileDurableChecksummed(path, std::move(out).Take());
   }();
   EmitCheckpointEvent("save", path, status.ok());
   return status;
@@ -1026,17 +989,17 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   const Status status = [&]() -> Status {
   StatusOr<std::string> bytes_or = ReadFileBytes(path);
   if (!bytes_or.ok()) return Status::IoError("cannot open " + path);
-  const std::string& bytes = *bytes_or;
   std::size_t payload_size = 0;
-  POISONREC_RETURN_NOT_OK(VerifyCheckpointFraming(bytes, path, &payload_size));
-  std::istringstream in(bytes.substr(0, payload_size));
-  in.seekg(kCheckpointHeaderBytes);  // past the already-validated header
-  std::uint64_t steps = 0;
-  if (!ReadU64(in, &steps)) return Status::DataLoss("truncated checkpoint");
-  std::uint64_t stream_seed = 0;
-  if (!ReadU64(in, &stream_seed)) {
+  POISONREC_RETURN_NOT_OK(
+      VerifyCheckpointFraming(*bytes_or, path, &payload_size));
+  ByteReader in(std::string_view(*bytes_or).substr(0, payload_size));
+  in.Bytes(kCheckpointHeaderBytes);  // the already-validated header
+  const auto truncated = [] {
     return Status::DataLoss("truncated checkpoint");
-  }
+  };
+  const std::uint64_t steps = in.U64();
+  const std::uint64_t stream_seed = in.U64();
+  if (!in.ok()) return truncated();
   if (stream_seed != config_.seed) {
     return Status::InvalidArgument(
         "checkpoint sampling stream seed " + std::to_string(stream_seed) +
@@ -1047,8 +1010,8 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   // Stage everything before touching live state: a truncated or
   // mismatched file must leave the attacker unchanged.
   std::vector<nn::Tensor> params = policy_->Parameters();
-  std::uint64_t count = 0;
-  if (!ReadU64(in, &count)) return Status::DataLoss("truncated checkpoint");
+  const std::uint64_t count = in.U64();
+  if (!in.ok()) return truncated();
   if (count != params.size()) {
     return Status::InvalidArgument(
         "checkpoint has " + std::to_string(count) + " tensors, policy has " +
@@ -1056,91 +1019,55 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   }
   std::vector<std::vector<float>> staged_params(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    std::uint64_t rows = 0;
-    std::uint64_t cols = 0;
-    if (!ReadU64(in, &rows) || !ReadU64(in, &cols)) {
-      return Status::DataLoss("truncated checkpoint");
-    }
+    const std::uint64_t rows = in.U64();
+    const std::uint64_t cols = in.U64();
+    if (!in.ok()) return truncated();
     if (rows != params[i].rows() || cols != params[i].cols()) {
       return Status::InvalidArgument(
           "parameter " + std::to_string(i) + " shape mismatch: checkpoint " +
           std::to_string(rows) + "x" + std::to_string(cols) + " vs policy " +
           params[i].ShapeString());
     }
-    staged_params[i].resize(params[i].size());
-    if (!ReadFloats(in, &staged_params[i])) {
-      return Status::DataLoss("truncated checkpoint payload");
-    }
+    staged_params[i] = in.Floats(params[i].size());
+    if (!in.ok()) return Status::DataLoss("truncated checkpoint payload");
   }
 
-  std::uint64_t adam_steps = 0;
-  if (!ReadU64(in, &adam_steps)) return Status::DataLoss("truncated checkpoint");
+  // No validation until the pool section, so read the Adam state, the
+  // RNG blob and the best episode straight through and check once.
+  const std::uint64_t adam_steps = in.U64();
   std::vector<std::vector<float>> m(params.size());
   std::vector<std::vector<float>> v(params.size());
   for (std::size_t i = 0; i < params.size(); ++i) {
-    m[i].resize(params[i].size());
-    if (!ReadFloats(in, &m[i])) return Status::DataLoss("truncated checkpoint");
+    m[i] = in.Floats(params[i].size());
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
-    v[i].resize(params[i].size());
-    if (!ReadFloats(in, &v[i])) return Status::DataLoss("truncated checkpoint");
+    v[i] = in.Floats(params[i].size());
   }
-
-  std::uint64_t rng_len = 0;
-  if (!ReadU64(in, &rng_len)) return Status::DataLoss("truncated checkpoint");
-  std::string rng_state(rng_len, '\0');
-  in.read(rng_state.data(), static_cast<std::streamsize>(rng_len));
-  if (!in) return Status::DataLoss("truncated checkpoint");
+  const std::string rng_state(in.String());
 
   Episode best;
-  std::uint64_t n_traj = 0;
-  if (!ReadF64(in, &best.reward)) return Status::DataLoss("truncated checkpoint");
-  const int observed = in.get();
-  if (observed == std::ifstream::traits_type::eof()) {
-    return Status::DataLoss("truncated checkpoint");
-  }
-  best.reward_observed = observed != 0;
-  if (!ReadU64(in, &n_traj)) return Status::DataLoss("truncated checkpoint");
-  best.trajectories.resize(n_traj);
+  best.reward = in.F64();
+  best.reward_observed = in.U8() != 0;
+  best.trajectories.resize(in.Count(kMinTrajectoryBytes));
   for (SampledTrajectory& traj : best.trajectories) {
-    std::uint64_t attacker = 0;
-    std::uint64_t n_steps = 0;
-    if (!ReadU64(in, &attacker) || !ReadU64(in, &n_steps)) {
-      return Status::DataLoss("truncated checkpoint");
-    }
-    traj.attacker_index = attacker;
-    traj.steps.resize(n_steps);
+    traj.attacker_index = in.U64();
+    traj.steps.resize(in.Count(kMinStepBytes));
     for (SampledStep& step : traj.steps) {
-      std::uint64_t item = 0;
-      std::uint64_t path_len = 0;
-      if (!ReadU64(in, &item) || !ReadU64(in, &path_len)) {
-        return Status::DataLoss("truncated checkpoint");
-      }
-      step.item = item;
-      step.path.resize(path_len);
-      for (int& node : step.path) {
-        std::int32_t n32 = 0;
-        in.read(reinterpret_cast<char*>(&n32), sizeof(n32));
-        node = n32;
-      }
-      std::uint64_t lp_len = 0;
-      if (!ReadU64(in, &lp_len)) return Status::DataLoss("truncated checkpoint");
-      step.old_log_probs.resize(lp_len);
-      for (double& lp : step.old_log_probs) {
-        if (!ReadF64(in, &lp)) return Status::DataLoss("truncated checkpoint");
-      }
+      step.item = in.U64();
+      step.path.resize(in.Count(sizeof(std::int32_t)));
+      for (int& node : step.path) node = in.I32();
+      step.old_log_probs.resize(in.Count(sizeof(double)));
+      for (double& lp : step.old_log_probs) lp = in.F64();
     }
   }
-  if (!in) return Status::DataLoss("truncated checkpoint");
+  if (!in.ok()) return truncated();
 
   // v2 sections: account pool and defender state. Presence must match
   // this attacker's configuration — a pooled checkpoint cannot restore
   // into a pool-less attacker (or vice versa) without silently changing
   // campaign semantics.
-  const int pool_flag = in.get();
-  if (pool_flag == std::ifstream::traits_type::eof()) {
-    return Status::DataLoss("truncated checkpoint");
-  }
+  const std::uint8_t pool_flag = in.U8();
+  if (!in.ok()) return truncated();
   if ((pool_flag != 0) != (pool_ != nullptr)) {
     return Status::InvalidArgument(
         pool_flag != 0
@@ -1153,12 +1080,11 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
   std::uint64_t pool_next = 0;
   std::uint64_t pool_retired = 0;
   if (pool_flag != 0) {
-    std::uint64_t slots = 0;
-    std::uint64_t total = 0;
-    if (!ReadU64(in, &slots) || !ReadU64(in, &total) ||
-        !ReadU64(in, &pool_next) || !ReadU64(in, &pool_retired)) {
-      return Status::DataLoss("truncated checkpoint");
-    }
+    const std::uint64_t slots = in.U64();
+    const std::uint64_t total = in.U64();
+    pool_next = in.U64();
+    pool_retired = in.U64();
+    if (!in.ok()) return truncated();
     if (slots != pool_->num_slots() || total != pool_->total_accounts()) {
       return Status::InvalidArgument(
           "checkpoint pool shape " + std::to_string(slots) + "/" +
@@ -1173,20 +1099,18 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
     }
     staged_slots.resize(slots);
     for (std::size_t& a : staged_slots) {
-      std::uint64_t v = 0;
-      if (!ReadU64(in, &v)) return Status::DataLoss("truncated checkpoint");
-      if (v != kDeadSlotTag && v >= total) {
+      const std::uint64_t account = in.U64();
+      if (!in.ok()) return truncated();
+      if (account != kDeadSlotTag && account >= total) {
         return Status::InvalidArgument("corrupt pool state: slot maps to "
-                                       "account " + std::to_string(v));
+                                       "account " + std::to_string(account));
       }
-      a = v == kDeadSlotTag ? AccountPool::kDeadSlot
-                            : static_cast<std::size_t>(v);
+      a = account == kDeadSlotTag ? AccountPool::kDeadSlot
+                                  : static_cast<std::size_t>(account);
     }
   }
-  const int defender_flag = in.get();
-  if (defender_flag == std::ifstream::traits_type::eof()) {
-    return Status::DataLoss("truncated checkpoint");
-  }
+  const std::uint8_t defender_flag = in.U8();
+  if (!in.ok()) return truncated();
   if ((defender_flag != 0) != (defended_ != nullptr)) {
     return Status::InvalidArgument(
         defender_flag != 0
@@ -1195,13 +1119,10 @@ Status PoisonRecAttacker::LoadCheckpoint(const std::string& path) {
             : "a DefendedEnvironment is attached but the checkpoint has no "
               "defender state");
   }
-  std::string defender_blob;
+  std::string_view defender_blob;
   if (defender_flag != 0) {
-    std::uint64_t blob_len = 0;
-    if (!ReadU64(in, &blob_len)) return Status::DataLoss("truncated checkpoint");
-    defender_blob.resize(blob_len);
-    in.read(defender_blob.data(), static_cast<std::streamsize>(blob_len));
-    if (!in) return Status::DataLoss("truncated checkpoint");
+    defender_blob = in.String();
+    if (!in.ok()) return truncated();
   }
 
   // Commit: everything parsed cleanly. Fallible commits run first (the

@@ -182,13 +182,6 @@ StatusOr<double> FaultyEnvironment::TryEvaluate(
   return reward;
 }
 
-StatusOr<double> FaultyEnvironment::TryEvaluate(
-    const std::vector<Trajectory>& trajectories) const {
-  return TryEvaluate(trajectories,
-                     next_query_id_.fetch_add(1, std::memory_order_relaxed),
-                     /*attempt=*/0);
-}
-
 FaultStats FaultyEnvironment::stats() const {
   FaultStats s;
   s.attempts = attempts_.load(std::memory_order_relaxed);

@@ -220,11 +220,4 @@ StatusOr<JournalReplayResult> FleetJournal::Replay(
   return result;
 }
 
-StatusOr<std::map<std::string, CampaignReplay>> FleetJournal::ReplayFile(
-    const std::string& path) {
-  POISONREC_ASSIGN_OR_RETURN(JournalReplayResult result,
-                             Replay({path}));
-  return std::move(result.campaigns);
-}
-
 }  // namespace poisonrec::orch

@@ -161,10 +161,6 @@ class FleetJournal {
   static StatusOr<JournalReplayResult> Replay(
       const std::vector<std::string>& paths);
 
-  /// Single-file convenience wrapper around Replay (legacy signature).
-  static StatusOr<std::map<std::string, CampaignReplay>> ReplayFile(
-      const std::string& path);
-
  private:
   obs::EventLog log_;
 };

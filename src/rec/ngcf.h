@@ -51,6 +51,8 @@ class Ngcf : public Recommender {
   };
 
   /// Builds the normalized Laplacian from the accumulated positive edges.
+  /// The matrix is immutable once built, so clones share it and only
+  /// Update (which adds the poison edges) replaces it.
   void RebuildGraph();
 
   /// Propagates embeddings; returns the concatenated multi-layer
@@ -67,7 +69,7 @@ class Ngcf : public Recommender {
   std::size_t num_users_ = 0;
   std::size_t num_items_ = 0;
   std::unique_ptr<Net> net_;
-  std::unique_ptr<nn::CsrMatrix> laplacian_;
+  std::shared_ptr<const nn::CsrMatrix> laplacian_;
   std::vector<std::unordered_set<data::ItemId>> positives_;
   std::vector<data::Interaction> clean_;  // replay pool for Update
   nn::Tensor cached_final_;  // plain data, no grad

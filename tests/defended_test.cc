@@ -20,6 +20,7 @@
 #include "env/defended.h"
 #include "env/fault.h"
 #include "rec/registry.h"
+#include "util/bytes.h"
 
 namespace poisonrec::core {
 namespace {
@@ -293,6 +294,58 @@ TEST(DefendedEnvironmentTest, RestoreRejectsGarbageAndWrongShape) {
   EXPECT_EQ(platform.RestoreState(blob.substr(0, blob.size() / 2)).code(),
             StatusCode::kIoError);
   EXPECT_EQ(platform.stats().recorded_clicks, 6u);
+}
+
+TEST(DefendedEnvironmentTest, RestoreRefusesCountsBeyondTheBlobAndPrefixes) {
+  Fixture f;
+  env::DefendedEnvironment source(
+      &f.environment, std::make_unique<defense::ClickEntropyDetector>(),
+      EntropyProfile(3, 1));
+  const std::vector<env::Trajectory> fleet = {Repetitive(0), Repetitive(1),
+                                              Diverse(2)};
+  for (std::uint64_t q = 0; q < 5; ++q) {
+    ASSERT_TRUE(source.TryEvaluate(fleet, q).ok());
+  }
+  ASSERT_FALSE(source.ban_events().empty());
+  const std::string blob = source.SerializeState();
+
+  env::DefendedEnvironment platform(
+      &f.environment, std::make_unique<defense::ClickEntropyDetector>(),
+      EntropyProfile(3, 1));
+  ASSERT_TRUE(platform.TryEvaluate({Diverse(3)}, 0).ok());
+  const std::string before = platform.SerializeState();
+
+  // Layout: u32 magic, u32 version, u64 accounts, then per account a u64
+  // history count + u64 items, the banned bytes, and the u64 event count.
+  ByteReader in(blob);
+  in.Bytes(8);
+  const std::uint64_t accounts = in.U64();
+  const std::size_t first_history = blob.size() - in.remaining();
+  for (std::uint64_t a = 0; a < accounts; ++a) in.Bytes(8 * in.U64());
+  in.Bytes(accounts);
+  const std::size_t events = blob.size() - in.remaining();
+  ASSERT_TRUE(in.ok());
+  for (const std::size_t offset : {first_history, events}) {
+    std::string hostile = blob;
+    ByteWriter huge;
+    huge.U64(~0ull);
+    hostile.replace(offset, sizeof(std::uint64_t), std::move(huge).Take());
+    EXPECT_EQ(platform.RestoreState(hostile).code(), StatusCode::kIoError)
+        << "count at byte " << offset;
+    EXPECT_EQ(platform.SerializeState(), before);
+  }
+
+  // Every proper prefix is refused and changes nothing: short of the
+  // 8-byte header it is not a defender blob, past it a truncated one.
+  for (std::size_t len = 0; len < blob.size(); ++len) {
+    const Status status = platform.RestoreState(blob.substr(0, len));
+    ASSERT_EQ(status.code(), len < 8 ? StatusCode::kInvalidArgument
+                                     : StatusCode::kIoError)
+        << "prefix " << len;
+  }
+  EXPECT_EQ(platform.SerializeState(), before);
+  ASSERT_TRUE(platform.RestoreState(blob).ok());
+  EXPECT_EQ(platform.SerializeState(), blob);
 }
 
 // ---------------------------------------------------------------------------

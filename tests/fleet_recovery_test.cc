@@ -74,10 +74,12 @@ FleetOptions DirOptions(const std::string& dir) {
 }
 
 std::uint64_t CommittedSteps(const std::string& journal_path) {
-  auto replay = FleetJournal::ReplayFile(journal_path);
+  auto replay = FleetJournal::Replay({journal_path});
   if (!replay.ok()) return 0;
   std::uint64_t total = 0;
-  for (const auto& [id, entry] : *replay) total += entry.steps_completed;
+  for (const auto& [id, entry] : replay->campaigns) {
+    total += entry.steps_completed;
+  }
   return total;
 }
 
@@ -138,10 +140,10 @@ TEST(FleetRecoveryTest, Sigkill9MidFleetResumesBitIdentically) {
   ASSERT_LT(committed_at_kill, 30u) << "fleet finished before the kill";
   // Record which campaigns were already terminal when the kill landed:
   // resume must report them recovered, not re-run them.
-  auto at_kill = FleetJournal::ReplayFile(crash_journal);
+  auto at_kill = FleetJournal::Replay({crash_journal});
   ASSERT_TRUE(at_kill.ok()) << at_kill.status();
   std::set<std::string> finished_at_kill;
-  for (const auto& [id, entry] : *at_kill) {
+  for (const auto& [id, entry] : at_kill->campaigns) {
     if (entry.state == CampaignState::kDone) finished_at_kill.insert(id);
   }
   ASSERT_FALSE(finished_at_kill.empty())

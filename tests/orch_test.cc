@@ -212,22 +212,22 @@ TEST(JournalTest, ReplayFoldsRecordsAndSkipsTornTrailingLine) {
     std::ofstream out(path, std::ios::app);
     out << "{\"type\":\"campaign\",\"id\":\"a\",\"sta";
   }
-  auto replay = FleetJournal::ReplayFile(path);
+  auto replay = FleetJournal::Replay({path});
   ASSERT_TRUE(replay.ok()) << replay.status();
-  ASSERT_EQ(replay->size(), 2u);
-  const CampaignReplay& a = replay->at("a");
+  ASSERT_EQ(replay->campaigns.size(), 2u);
+  const CampaignReplay& a = replay->campaigns.at("a");
   EXPECT_EQ(a.state, CampaignState::kCheckpointed);
   EXPECT_EQ(a.steps_completed, 2u);
   ASSERT_EQ(a.step_rewards.size(), 2u);
   EXPECT_DOUBLE_EQ(a.step_rewards.at(1), 2.0);
   EXPECT_DOUBLE_EQ(a.step_rewards.at(2), 5.0);
   EXPECT_DOUBLE_EQ(a.best_reward, 5.0);
-  const CampaignReplay& b = replay->at("b");
+  const CampaignReplay& b = replay->campaigns.at("b");
   EXPECT_TRUE(IsTerminal(b.state));
   EXPECT_EQ(b.detail, "stalled");
   EXPECT_EQ(b.restarts, 2u);
 
-  EXPECT_FALSE(FleetJournal::ReplayFile(dir + "/missing.jsonl").ok());
+  EXPECT_FALSE(FleetJournal::Replay({dir + "/missing.jsonl"}).ok());
   std::filesystem::remove_all(dir);
 }
 
@@ -391,10 +391,10 @@ TEST(SupervisorTest, CleanCampaignRunsToDoneAndJournalsEverySteps) {
   EXPECT_EQ(outcome.step_rewards.size(), 3u);
   EXPECT_TRUE(std::filesystem::exists(supervisor.CheckpointPath()));
 
-  auto replay = FleetJournal::ReplayFile(dir + "/journal.jsonl");
+  auto replay = FleetJournal::Replay({dir + "/journal.jsonl"});
   ASSERT_TRUE(replay.ok());
-  EXPECT_EQ(replay->at("clean").state, CampaignState::kDone);
-  EXPECT_EQ(replay->at("clean").steps_completed, 3u);
+  EXPECT_EQ(replay->campaigns.at("clean").state, CampaignState::kDone);
+  EXPECT_EQ(replay->campaigns.at("clean").steps_completed, 3u);
   std::filesystem::remove_all(dir);
 }
 
@@ -628,11 +628,11 @@ TEST(FleetTest, ConcurrentFleetCompletesAndWritesReports) {
   EXPECT_TRUE(std::filesystem::exists(options.report_csv_path));
 
   // The journal agrees with the in-memory outcomes.
-  auto replay = FleetJournal::ReplayFile(options.journal_path);
+  auto replay = FleetJournal::Replay({options.journal_path});
   ASSERT_TRUE(replay.ok());
   for (const CampaignOutcome& outcome : result.outcomes) {
-    EXPECT_EQ(replay->at(outcome.id).state, CampaignState::kDone);
-    EXPECT_EQ(replay->at(outcome.id).steps_completed, 3u);
+    EXPECT_EQ(replay->campaigns.at(outcome.id).state, CampaignState::kDone);
+    EXPECT_EQ(replay->campaigns.at(outcome.id).steps_completed, 3u);
   }
   std::filesystem::remove_all(dir);
 }
@@ -806,10 +806,13 @@ TEST(FleetTest, SubmittedHighPriorityCampaignPreemptsRunningLowPriority) {
   Status submitted = Status::InvalidArgument("submitter never ran");
   std::thread submitter([&] {
     for (int i = 0; i < 4000; ++i) {
-      auto replay = FleetJournal::ReplayFile(options.journal_path);
+      auto replay = FleetJournal::Replay({options.journal_path});
       if (replay.ok()) {
-        const auto it = replay->find("low");
-        if (it != replay->end() && it->second.steps_completed >= 1) break;
+        const auto it = replay->campaigns.find("low");
+        if (it != replay->campaigns.end() &&
+            it->second.steps_completed >= 1) {
+          break;
+        }
       }
       std::this_thread::sleep_for(std::chrono::milliseconds(2));
     }

@@ -14,6 +14,7 @@
 #include "rec/bpr.h"
 #include "rec/covisitation.h"
 #include "rec/itempop.h"
+#include "rec/ngcf.h"
 #include "rec/pmf.h"
 #include "util/parallel.h"
 #include "util/random.h"
@@ -348,6 +349,42 @@ TEST(CoVisitationTest, InjectedCoVisitsPromote) {
 }
 
 // -- Factor models ----------------------------------------------------------
+
+// NGCF clones share the fitted graph instead of rebuilding it, and only
+// Update replaces it. A clone must still score exactly as its original,
+// Clone+Update must match Update on an independently fitted model bit
+// for bit, and updating either side must never move the other.
+TEST(NgcfTest, ClonesShareTheGraphBitExactly) {
+  std::vector<data::ItemId> items(30);
+  for (data::ItemId i = 0; i < items.size(); ++i) items[i] = i;
+  const auto all_scores = [&items](const Recommender& rec) {
+    std::vector<std::vector<double>> scores;
+    for (data::UserId u = 0; u < 72; ++u) scores.push_back(rec.Score(u, items));
+    return scores;
+  };
+  data::Dataset poison(72, 30);
+  for (data::UserId u = 60; u < 64; ++u) {
+    for (int c = 0; c < 10; ++c) poison.Add(u, 29);
+  }
+
+  Ngcf original(FastConfig());
+  original.Fit(TestLog());
+  const auto fitted = all_scores(original);
+  auto clone = original.Clone();
+  EXPECT_EQ(all_scores(*clone), fitted);
+
+  Ngcf reference(FastConfig());
+  reference.Fit(TestLog());
+  reference.Update(poison);
+  clone->Update(poison);
+  EXPECT_EQ(all_scores(*clone), all_scores(reference));
+  EXPECT_EQ(all_scores(original), fitted);
+
+  auto second = original.Clone();
+  original.Update(poison);
+  EXPECT_EQ(all_scores(original), all_scores(reference));
+  EXPECT_EQ(all_scores(*second), fitted);
+}
 
 TEST(PmfTest, LearnsObservedPreferences) {
   // Two disjoint user groups with disjoint item sets.

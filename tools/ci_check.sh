@@ -25,11 +25,24 @@
 # checkpoint truncation, torn journal tail) checking the verdicts and
 # exit codes `poisonrec fsck` promises, and a separate TSan build runs
 # the scheduler/journal/lease/chaos tests race-free.
-# Override the scale knobs via the usual POISONREC_* env vars.
+# Before any of that, a source guard keeps util/bytes the only code in
+# src/ that casts memory to char* (the one bounded codec for on-disk
+# state). Override the scale knobs via the usual POISONREC_* env vars.
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
 BUILD_DIR="${1:-build-san}"
+
+# Byte-cast guard: checkpoint, defender and footer encoding all go
+# through ByteWriter/ByteReader, whose reads are bounded by the bytes
+# left. A hand-rolled helper elsewhere would bring unbounded reads back.
+byte_casts="$(grep -rnE 'reinterpret_cast<(const )?char ?\*>' src |
+  grep -vE '^src/util/bytes\.(h|cc):' || true)"
+if [ -n "${byte_casts}" ]; then
+  printf '%s\n' "${byte_casts}" >&2
+  echo "byte-cast guard: use util/bytes.h instead of casting to char*" >&2
+  exit 1
+fi
 
 cmake -B "${BUILD_DIR}" -S . \
   -DCMAKE_BUILD_TYPE=RelWithDebInfo \
